@@ -256,6 +256,11 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a tape (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 def _make(data, parents, backward_fn):
     if _grad_enabled and _needs_grad(*parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
@@ -410,6 +415,17 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(out_data, tensors, backward)
 
 
+def stack(tensors, axis: int = 0) -> Tensor:
+    tensors = [_as_tensor(t) for t in tensors]
+
+    def backward(g):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t._accumulate(np.take(g, i, axis=axis))
+
+    return _make(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
+
+
 def take_rows(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0 by an integer index array."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -552,6 +568,29 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # ---- softmax -------------------------------------------------------------
 
 
+def _softmax_rows(z: np.ndarray):
+    """Softmax over the last axis of additively masked logits.
+
+    Returns (probabilities, empty): rows whose every entry is masked fall
+    back to the uniform distribution and are flagged in ``empty``.
+    """
+    row_max = z.max(axis=-1, keepdims=True)
+    empty = row_max[..., 0] < _ALL_MASKED_CUTOFF
+    probs = np.exp(z - row_max)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if empty.any():
+        probs[empty] = 1.0 / probs.shape[-1]
+    return probs, empty
+
+
+def _softmax_backward(g: np.ndarray, probs: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    gl = g - (g * probs).sum(axis=-1, keepdims=True)
+    gl *= probs
+    if empty.any():
+        gl[empty] = 0.0
+    return gl
+
+
 def masked_softmax(logits: Tensor, addmask=None) -> Tensor:
     """Softmax over the last axis of ``logits + addmask``.
 
@@ -566,21 +605,10 @@ def masked_softmax(logits: Tensor, addmask=None) -> Tensor:
     else:
         mask_data = addmask.data if isinstance(addmask, Tensor) else np.asarray(addmask, dtype=np.float64)
         z = logits.data + mask_data
-    row_max = z.max(axis=-1, keepdims=True)
-    empty = row_max[..., 0] < _ALL_MASKED_CUTOFF
-    shifted = np.where(empty[..., None], 0.0, z - row_max)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-    k = out_data.shape[-1]
-    if empty.any():
-        out_data = np.where(empty[..., None], 1.0 / k, out_data)
+    out_data, empty = _softmax_rows(z)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        gl = out_data * (g - dot)
-        if empty.any():
-            gl = np.where(empty[..., None], 0.0, gl)
-        logits._accumulate(_unbroadcast(gl, logits.data.shape))
+        logits._accumulate(_unbroadcast(_softmax_backward(g, out_data, empty), logits.data.shape))
 
     out = _make(out_data, (logits,), backward)
     out.empty_rows = empty if empty.any() else None
@@ -589,6 +617,139 @@ def masked_softmax(logits: Tensor, addmask=None) -> Tensor:
 
 def softmax(logits: Tensor) -> Tensor:
     return masked_softmax(logits, None)
+
+
+# ---- fused multi-head attention --------------------------------------------
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    # (..., t, C) -> (..., h, t, d)
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    # (..., h, t, d) -> (..., t, C)
+    merged = x.swapaxes(-2, -3)
+    return merged.reshape(merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
+
+
+def _segment_slots(counts: np.ndarray):
+    """Packed-row layout of segments padded to the longest one.
+
+    Returns (slot of each packed row in the flattened (segments, t_max)
+    grid, (segments, t_max) validity mask); empty segments are dropped.
+    """
+    sizes = counts[counts > 0]
+    t_max = int(sizes.max(initial=1))
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    base = np.repeat(np.arange(sizes.size) * t_max, sizes)
+    slots = base + np.arange(starts.size) - starts
+    valid = np.zeros(sizes.size * t_max, dtype=bool)
+    valid[slots] = True
+    return slots, valid.reshape(sizes.size, t_max)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, addmask=None, segments=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q`` (..., t_q, C) attends over ``k`` and ``v`` (..., t_kv, C) in
+    ``heads`` heads of C / heads channels; the result is the merged
+    context (..., t_q, C), before any output projection. The backward
+    reuses the saved attention probabilities.
+
+    ``addmask`` is additive over key positions (0 or NEG_INF), broadcast
+    against the scores (..., heads, t_q, t_kv). Rows with every key masked
+    attend uniformly, receive zero gradient and are flagged on the
+    result's ``empty_rows``, as in ``masked_softmax``.
+
+    ``segments`` selects packed mode: q, k and v are (T, C) rows grouped
+    in consecutive segments of the given lengths (zeros allowed), and each
+    row attends to the rows of its own segment only. The rows are laid out
+    per segment, padded to the longest, with the padding masked.
+    """
+    c = q.data.shape[-1]
+    if c % heads or k.data.shape[-1] != c or v.data.shape != k.data.shape:
+        raise ShapeError(f"attention operands {q.shape}, {k.shape}, {v.shape} with {heads} heads")
+    if q.data.shape[:-2] != k.data.shape[:-2]:
+        raise ShapeError(f"attention batch axes differ: {q.shape} vs {k.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    slots = None
+    if segments is not None:
+        counts = np.asarray(segments, dtype=np.int64)
+        if q.ndim != 2 or counts.sum() != qd.shape[0] or kd.shape != qd.shape:
+            raise ShapeError(f"packed attention needs (T, C) rows in segments summing to T, got {q.shape}")
+        if addmask is not None:
+            raise ShapeError("packed attention builds its own key mask; pass segments or addmask")
+        slots, valid = _segment_slots(counts)
+        shape = valid.shape + (c,)
+
+        def pad(x):
+            full = np.zeros((valid.size, c))
+            full[slots] = x
+            return full.reshape(shape)
+
+        qd, kd, vd = pad(qd), pad(kd), pad(vd)
+        addmask = np.where(valid, 0.0, NEG_INF)[:, None, None, :]
+    scale = 1.0 / np.sqrt(c // heads)
+    qh, kh, vh = _split_heads(qd, heads), _split_heads(kd, heads), _split_heads(vd, heads)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    scores *= scale
+    if addmask is not None:
+        scores = scores + (addmask.data if isinstance(addmask, Tensor) else np.asarray(addmask, dtype=np.float64))
+    probs, empty = _softmax_rows(scores)
+    out_data = _merge_heads(np.matmul(probs, vh))
+    if slots is not None:
+        out_data = out_data.reshape(-1, c)[slots]
+
+    def backward(g):
+        if slots is not None:
+            full = np.zeros((probs.shape[0] * probs.shape[-2], c))
+            full[slots] = g
+            g = full.reshape(qd.shape)
+        gctx = _split_heads(g, heads)
+        gs = _softmax_backward(np.matmul(gctx, vh.swapaxes(-1, -2)), probs, empty)
+        gs *= scale
+        grads = (
+            (q, np.matmul(gs, kh)),
+            (k, np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-1, -2)),
+            (v, np.matmul(probs.swapaxes(-1, -2), gctx)),
+        )
+        for t, gh in grads:
+            if t.requires_grad:
+                gt = _merge_heads(gh)
+                t._accumulate(gt.reshape(-1, c)[slots] if slots is not None else gt)
+
+    out = _make(out_data, (q, k, v), backward)
+    out.empty_rows = empty if empty.any() else None
+    return out
+
+
+def segment_max(x: Tensor, counts) -> Tensor:
+    """Per-segment max over the rows of ``x`` (T, C) in consecutive
+    segments of the given lengths; (segments, C) out.
+
+    An empty segment yields a zero row. The subgradient routes to the
+    first row that reaches each maximum.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.sum() != x.data.shape[0]:
+        raise ShapeError(f"segments sum to {counts.sum()}, rows {x.data.shape[0]}")
+    nonempty = counts > 0
+    starts = (np.cumsum(counts) - counts)[nonempty]
+    out_data = np.zeros((counts.size,) + x.data.shape[1:])
+    if starts.size:
+        out_data[nonempty] = np.maximum.reduceat(x.data, starts, axis=0)
+
+    def backward(g):
+        full = np.zeros_like(x.data)
+        if starts.size:
+            rows = np.arange(x.data.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1))
+            hit = x.data == np.repeat(out_data, counts, axis=0)
+            first = np.minimum.reduceat(np.where(hit, rows, x.data.shape[0]), starts, axis=0)
+            np.put_along_axis(full, first, g[nonempty], axis=0)
+        x._accumulate(full)
+
+    return _make(out_data, (x,), backward)
 
 
 # ---- gather / scatter for spatial ops -------------------------------------

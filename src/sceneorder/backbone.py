@@ -195,17 +195,19 @@ class TinyBackbone(Module):
         return BackboneOutput(Q=queries, P=p, confidences=conf, confidence_logits=conf_logits)
 
 
-def backbone_losses(out: BackboneOutput, gt_masks_q: np.ndarray):
+def backbone_losses(out: BackboneOutput, gt_masks_q: np.ndarray, assignment=None):
     """Mask BCE + dice on Hungarian-matched queries, plus confidence BCE.
 
+    ``assignment`` is the caller's match of the queries' masks to the
+    ground truth; without one, the masks Q.P >= 0 are matched here.
     Returns (loss Tensor, assignment).
     """
     c = out.P.shape[0]
     hw = out.P.shape[1] * out.P.shape[2]
     mask_logits = ag.matmul(out.Q, out.P.reshape(c, hw))  # (N_q, hw)
-    binary = (mask_logits.data >= 0.0).astype(np.uint8)
-    n_gt = gt_masks_q.shape[0]
-    assignment = match_segments(list(binary.reshape(-1, *out.P.shape[1:])), out.confidences, list(gt_masks_q))
+    if assignment is None:
+        binary = (mask_logits.data >= 0.0).astype(np.uint8)
+        assignment = match_segments(list(binary.reshape(-1, *out.P.shape[1:])), out.confidences, list(gt_masks_q))
     col_of = assignment.col_of()
     matched_rows = sorted(col_of)
     targets = np.stack([gt_masks_q[col_of[r]].reshape(hw) for r in matched_rows]).astype(np.float64)

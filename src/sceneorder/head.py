@@ -1,27 +1,34 @@
 """Holistic order head: from mask embeddings and per-pixel features to full
 occlusion/depth order matrices in one forward pass.
 
-Pipeline per image: select confident (or matched) query tokens, mask the
-per-pixel embedding per instance, build one global descriptor per instance
-with masked self-attention + max-pooling, run an interaction decoder over
-the concatenated descriptor/query tokens, and read every pairwise relation
-off a compatibility product followed by small task MLPs.
+Pipeline per image: select confident (or matched) query tokens, gather
+each instance's in-mask positions of the per-pixel embedding, build one
+global descriptor per instance with masked self-attention + max-pooling,
+run an interaction decoder over the concatenated descriptor/query tokens,
+and read every pairwise relation off a compatibility product followed by
+small task MLPs.
 
-The descriptor encoder gathers only in-mask tokens per instance (padded
-across instances). This is exactly equivalent to running all positions
+The descriptor encoder packs the in-mask tokens of all instances into one
+(T, C) tensor, instance after instance. Attention runs within each
+instance's rows only and a segment max pools them, so no position outside
+a mask is computed. This is exactly equivalent to running all positions
 with a -inf additive key mask, because masked-out positions receive zero
 attention weight and the pooling reads masked-in positions only; the test
 suite asserts the equivalence against the literal full-grid computation.
+
+The decoder layers' outputs are stacked, so the projections, the
+compatibility product, the task MLPs and the order loss run once for all
+supervised layers. Without a tape (inference) only the last layer is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import NEG_INF, Tensor
+from .autograd import Tensor
 from .layers import ConfigError, Mlp, Module, TransformerLayer
 from .matching import Assignment
 
@@ -69,10 +76,13 @@ class HeadConfig:
 
 @dataclass
 class HeadOutput:
+    """Order logits with a leading decoder-layer axis: (L, n, n) for
+    occlusion, (L, n, n, 3) for depth. The last entry is the final output;
+    the others are the supervised intermediate layers."""
+
     occ_logits: Tensor | None
     depth_logits: Tensor | None
     selected_ids: np.ndarray
-    aux: list = field(default_factory=list)
 
     def occlusion_matrix(self):
         from .orders import OcclusionMatrix
@@ -81,7 +91,7 @@ class HeadOutput:
         mat = OcclusionMatrix.empty(n)
         if self.occ_logits is None:
             raise ConfigError("occlusion head was not initialized")
-        pred = (_sigmoid_np(self.occ_logits.data) > 0.5).astype(np.int64)
+        pred = (_sigmoid_np(self.occ_logits.data[-1]) > 0.5).astype(np.int64)
         off = ~np.eye(n, dtype=bool)
         mat.entries[off] = pred[off]
         return mat
@@ -100,7 +110,7 @@ class HeadOutput:
         mat = DepthMatrix.empty(n)
         if self.depth_logits is None:
             raise ConfigError("depth head was not initialized")
-        logits = self.depth_logits.data
+        logits = self.depth_logits.data[-1]
         if coherence:
             for i in range(n):
                 for j in range(i + 1, n):
@@ -168,69 +178,23 @@ def mask_pixel_embedding(P: Tensor, masks_n: np.ndarray):
 # ---- descriptor encoder ---------------------------------------------------------
 
 
-def _gather_instance_tokens(p: Tensor, masks_n: np.ndarray):
-    """In-mask spatial positions as padded token batches.
-
-    ``p`` is either the shared per-pixel embedding (C,h,w) or the
-    per-instance masked copies (n,C,h,w); in-mask values are identical in
-    both, so gathering from the shared P avoids materializing the copies.
-    Returns (tokens [n, t_max, C], valid [n, t_max] bool).
-    """
-    per_instance = p.ndim == 4
-    n = masks_n.shape[0]
-    c = p.shape[1] if per_instance else p.shape[0]
-    h, w = p.shape[-2:]
-    hw = h * w
-    flat_masks = masks_n.reshape(n, hw).astype(bool)
-    counts = flat_masks.sum(axis=1)
-    t_max = max(1, int(counts.max()))
-    idx = np.zeros((n, t_max), dtype=np.int64)
-    valid = np.zeros((n, t_max), dtype=bool)
-    for i in range(n):
-        pos = np.nonzero(flat_masks[i])[0]
-        idx[i, : pos.size] = pos
-        valid[i, : pos.size] = True
-    chan = (np.arange(c) * hw)[None, None, :]
-    flat_idx = chan + idx[:, :, None]
-    if per_instance:
-        flat_idx = flat_idx + (np.arange(n) * c * hw)[:, None, None]
-    tokens = ag.gather_flat(p, flat_idx, (n, t_max, c))
-    return tokens, valid
-
-
-def _encode_batch(p: Tensor, masks_n: np.ndarray, layers: list[TransformerLayer]) -> Tensor:
-    tokens, valid = _gather_instance_tokens(p, masks_n)
-    if layers:
-        key_mask = np.where(valid, 0.0, NEG_INF)[:, None, None, :]  # over (n, heads, t_q, t_kv)
-        for layer in layers:
-            tokens = layer(tokens, addmask=key_mask)
-    pool_mask = np.where(valid, 0.0, NEG_INF)[:, :, None]
-    pooled = ag.max_(tokens + pool_mask, axis=1)
-    nonempty = (valid.any(axis=1)).astype(np.float64)[:, None]
-    return pooled * nonempty
-
-
 def descriptor_encoder(p: Tensor, masks_n: np.ndarray, layers: list[TransformerLayer]) -> Tensor:
     """Masked self-attention (0+ layers) then max-pool over in-mask positions.
 
-    Accepts the shared P (C,h,w) or per-instance masked copies (n,C,h,w);
-    instances with empty masks get an all-zero descriptor and skip attention.
-    Instances are independent here, so they are bucketed by mask size to
-    limit padding waste; results are identical to one padded batch.
+    Reads the shared per-pixel embedding P (C,h,w) through the instance
+    masks: the in-mask positions of all instances form one packed (T, C)
+    token tensor, and each instance attends to and pools over its own rows
+    only. Instances with empty masks get an all-zero descriptor.
     """
-    if p.ndim == 4 or masks_n.shape[0] <= 2:
-        return _encode_batch(p, masks_n, layers)
-    counts = masks_n.reshape(masks_n.shape[0], -1).sum(axis=1)
-    t_max = counts.max()
-    small = np.nonzero(counts <= t_max / 2)[0]
-    if small.size == 0 or small.size == counts.size:
-        return _encode_batch(p, masks_n, layers)
-    large = np.nonzero(counts > t_max / 2)[0]
-    pooled_small = _encode_batch(p, masks_n[small], layers)
-    pooled_large = _encode_batch(p, masks_n[large], layers)
-    stacked = ag.concat([pooled_small, pooled_large], axis=0)
-    order = np.argsort(np.concatenate([small, large]))
-    return ag.take_rows(stacked, order)
+    n = masks_n.shape[0]
+    c, h, w = p.shape
+    flat_masks = masks_n.reshape(n, h * w).astype(bool)
+    counts = flat_masks.sum(axis=1)
+    _, pos = np.nonzero(flat_masks)
+    tokens = ag.gather_flat(p, pos[:, None] + np.arange(c) * (h * w), (pos.size, c))
+    for layer in layers:
+        tokens = layer(tokens, segments=counts)
+    return ag.segment_max(tokens, counts)
 
 
 # ---- interaction decoder ---------------------------------------------------------
@@ -258,7 +222,9 @@ class OrderHead(Module):
     def interaction_decoder(self, q_n: Tensor, descriptors: Tensor):
         """L decoder layers over the 2n concatenated tokens.
 
-        Returns [(Q*_l, D*_l) per layer], last entry = final output.
+        Returns (Q*, D*), each (L', n, C): the projected query and
+        descriptor outputs of every supervised layer, the final layer last.
+        L' = L while a tape records with auxiliary supervision on, else 1.
         """
         modality = self.config.input_modality
         if modality == "queries_descriptors":
@@ -269,25 +235,27 @@ class OrderHead(Module):
             first, second = descriptors, descriptors
         tokens = ag.concat([first, second], axis=0)
         n = q_n.shape[0]
-        outputs = []
+        per_layer = []
         for layer in self.decoder:
             tokens = layer(tokens)
-            d_l, q_l = tokens[:n], tokens[n:]
-            outputs.append((self.mlp_queries(q_l), self.mlp_descriptors(d_l)))
-        return outputs
+            per_layer.append(tokens)
+        if not (self.config.aux_loss and ag.grad_enabled()):
+            per_layer = per_layer[-1:]
+        stacked = ag.stack(per_layer)
+        return self.mlp_queries(stacked[:, n:]), self.mlp_descriptors(stacked[:, :n])
 
     @staticmethod
     def compatibility(q_star: Tensor, d_star: Tensor) -> Tensor:
-        return ag.matmul(q_star, ag.swapaxes(d_star, 0, 1))
+        return ag.matmul(q_star, ag.swapaxes(d_star, -1, -2))
 
     def order_heads(self, compat: Tensor, ids: np.ndarray) -> HeadOutput:
-        n = compat.shape[0]
-        feats = compat.reshape(n, n, 1)
+        """Task MLPs on every compatibility entry of (L', n, n) layers."""
+        feats = compat.reshape(compat.shape + (1,))
         occ = depth = None
         if "occlusion" in self.config.tasks:
             if self.occ_mlp is None:
                 raise ConfigError("occlusion head requested but not initialized")
-            occ = self.occ_mlp(feats).reshape(n, n)
+            occ = self.occ_mlp(feats).reshape(compat.shape)
         if "depth" in self.config.tasks:
             if self.depth_mlp is None:
                 raise ConfigError("depth head requested but not initialized")
@@ -295,19 +263,10 @@ class OrderHead(Module):
         return HeadOutput(occ, depth, ids)
 
     def run(self, q_n: Tensor, masks_n: np.ndarray, p: Tensor, ids: np.ndarray) -> HeadOutput:
-        """One holistic pass over already-selected tokens.
-
-        The descriptor encoder reads P through the instance masks directly;
-        in-mask tokens equal those of mask_pixel_embedding's per-instance
-        copies, without materializing n copies of P.
-        """
+        """One holistic pass over already-selected tokens."""
         self.forward_count += 1
         descriptors = descriptor_encoder(p, masks_n, self.encoder)
-        per_layer = self.interaction_decoder(q_n, descriptors)
-        main = self.order_heads(self.compatibility(*per_layer[-1]), ids)
-        if self.config.aux_loss and len(per_layer) > 1:
-            main.aux = [self.order_heads(self.compatibility(q_l, d_l), ids) for q_l, d_l in per_layer[:-1]]
-        return main
+        return self.order_heads(self.compatibility(*self.interaction_decoder(q_n, descriptors)), ids)
 
     def forward(self, backbone_out, masks: np.ndarray, assignment: Assignment | None = None) -> HeadOutput:
         """Select tokens (assignment in training, confidence at inference) and run."""

@@ -1,7 +1,8 @@
 """Network building blocks: linear, layer norm, attention, transformer layers.
 
 All layers are pre-norm and operate on token tensors shaped (..., t, C),
-so the same code serves single sequences and instance-batched ones.
+so the same code serves single sequences and batched ones; attention can
+also run over packed (T, C) rows of independent sequences.
 """
 
 from __future__ import annotations
@@ -146,35 +147,22 @@ class MultiHeadAttention(Module):
         if dim % heads != 0:
             raise ConfigError(f"channel dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(rng, dim, dim)
         self.wk = Linear(rng, dim, dim)
         self.wv = Linear(rng, dim, dim)
         self.wo = Linear(rng, dim, dim)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        # (..., t, C) -> (..., h, t, d)
-        t = x.shape[-2]
-        lead = x.shape[:-2]
-        return ag.swapaxes(x.reshape(lead + (t, self.heads, self.head_dim)), -2, -3)
-
-    def __call__(self, x: Tensor, kv: Tensor | None = None, addmask=None) -> Tensor:
+    def __call__(self, x: Tensor, kv: Tensor | None = None, addmask=None, segments=None) -> Tensor:
         """Attention of ``x`` over ``kv`` (self-attention when kv is None).
 
         ``addmask`` is additive over key positions: shape (t_kv,) or
-        broadcastable to (..., t_q, t_kv); entries 0 or NEG_INF.
+        broadcastable to (..., heads, t_q, t_kv); entries 0 or NEG_INF.
+        ``segments`` instead packs independent sequences as consecutive
+        rows of a (T, C) ``x`` (see ``autograd.attention``).
         """
         kv = x if kv is None else kv
-        q = self._split_heads(self.wq(x))
-        k = self._split_heads(self.wk(kv))
-        v = self._split_heads(self.wv(kv))
-        scores = ag.matmul(q, ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        attn = ag.masked_softmax(scores, addmask)
-        ctx = ag.matmul(attn, v)  # (..., h, t, d)
-        merged = ag.swapaxes(ctx, -2, -3)
-        lead = merged.shape[:-2]
-        merged = merged.reshape(lead + (self.heads * self.head_dim,))
-        return self.wo(merged)
+        ctx = ag.attention(self.wq(x), self.wk(kv), self.wv(kv), self.heads, addmask, segments)
+        return self.wo(ctx)
 
 
 class TransformerLayer(Module):
@@ -203,8 +191,8 @@ class TransformerLayer(Module):
         if mode == "attn_and_ffn":
             self.attn_adapter = Adapter(rng, self.dim, adapter_dim)
 
-    def __call__(self, x: Tensor, kv: Tensor | None = None, addmask=None) -> Tensor:
-        a = self.attn(self.norm1(x), kv=kv, addmask=addmask)
+    def __call__(self, x: Tensor, kv: Tensor | None = None, addmask=None, segments=None) -> Tensor:
+        a = self.attn(self.norm1(x), kv=kv, addmask=addmask, segments=segments)
         if self.attn_adapter is not None:
             a = self.attn_adapter(a)
         x = x + a

@@ -91,6 +91,16 @@ class Prediction:
     gt_aligned: bool = False
 
 
+def _oracle_assignment(masks: np.ndarray, gt_q: np.ndarray) -> Assignment:
+    """Query i to ground truth i, which is how the oracle backbone builds
+    its queries; checks that the masks reproduce the ground truth."""
+    n = gt_q.shape[0]
+    if not (np.array_equal(masks[:n], gt_q) and not masks[n:].any()):
+        raise RuntimeError("oracle backbone masks do not reproduce the ground-truth quarter masks")
+    empty = int((gt_q.reshape(n, -1).sum(axis=1) == 0).sum())  # 1 - IoU is 1 for an empty mask
+    return Assignment(tuple((i, i) for i in range(n)), float(empty))
+
+
 class HolisticModel:
     """Backbone + order head with a single-forward-per-image predict path."""
 
@@ -110,7 +120,6 @@ class HolisticModel:
             if config.adapters is not None:
                 self.backbone.freeze()
                 self.backbone.enable_adapters(rng, config.adapters, config.adapter_dim)
-        self._assignment_cache: dict[int, Assignment] = {}
 
     # -- parameters / checkpoints --
 
@@ -152,17 +161,14 @@ class HolisticModel:
             return self.backbone.forward(sample.image)
         return oracle_backbone(sample, self.config.channels, self.config.num_queries)
 
-    def training_loss(self, sample: SceneSample, sample_key: int | None = None):
+    def training_loss(self, sample: SceneSample):
         bb = self.backbone_output(sample)
         masks = compute_masks(bb.Q, bb.P)
         gt_q = quarter_masks(sample)
-        assignment = None
-        if self.config.backbone == "oracle" and sample_key is not None:
-            assignment = self._assignment_cache.get(sample_key)
-        if assignment is None:
+        if self.config.backbone == "oracle":
+            assignment = _oracle_assignment(masks, gt_q)
+        else:
             assignment = match_segments(list(masks), bb.confidences, list(gt_q))
-            if self.config.backbone == "oracle" and sample_key is not None:
-                self._assignment_cache[sample_key] = assignment
         out = self.head.forward(bb, masks, assignment=assignment)
         tasks = self.config.head.tasks
         loss = order_losses(
@@ -171,7 +177,7 @@ class HolisticModel:
             sample.gt_depth if "depth" in tasks else None,
         )
         if self.config.backbone == "tiny":
-            loss = loss + backbone_losses(bb, gt_q)[0]
+            loss = loss + backbone_losses(bb, gt_q, assignment)[0]
         return loss
 
     def predict(self, sample: SceneSample, decoupled: bool = True, coherence: bool = False) -> Prediction:
@@ -212,8 +218,8 @@ class TrainResult:
 
 def _mean_val_loss(model: HolisticModel, samples, limit: int = 32) -> float:
     losses = []
-    for k, sample in enumerate(samples[:limit]):
-        losses.append(model.training_loss(sample, sample_key=-(k + 1)).item())
+    for sample in samples[:limit]:
+        losses.append(model.training_loss(sample).item())
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -247,7 +253,7 @@ def train(model: HolisticModel, train_samples, config: TrainConfig, val_samples=
                 cursor = 0
             idx = int(order[cursor])
             cursor += 1
-            loss = model.training_loss(train_samples[idx], sample_key=idx) * (1.0 / config.batch_size)
+            loss = model.training_loss(train_samples[idx]) * (1.0 / config.batch_size)
             if not np.isfinite(loss.data).all():
                 raise TrainingDiverged(f"non-finite loss at step {step} (sample {idx})")
             loss.backward()

@@ -114,8 +114,7 @@ def test_plain_masked_maxpool_with_zero_layers():
     p = Tensor(np.zeros((1, 2, 2)))
     p.data[0] = [[1.0, 3.0], [-2.0, 100.0]]
     masks = np.array([[[1, 1], [1, 0]]], dtype=np.uint8)
-    pm, _ = mask_pixel_embedding(p, masks)
-    d = descriptor_encoder(pm, masks, layers=[])
+    d = descriptor_encoder(p, masks, layers=[])
     assert d.data[0, 0] == 3.0
 
 
@@ -123,14 +122,13 @@ def test_empty_mask_zero_descriptor():
     p = Tensor(np.ones((3, 2, 2)))
     masks = np.zeros((2, 2, 2), dtype=np.uint8)
     masks[0, 0, 0] = 1
-    pm, _ = mask_pixel_embedding(p, masks)
-    d = descriptor_encoder(pm, masks, layers=[])
+    d = descriptor_encoder(p, masks, layers=[])
     assert not d.data[1].any()
     assert d.data[0].all()
 
 
 def test_gathered_encoder_matches_full_grid_masked_attention():
-    """The padded-batch implementation must equal the literal computation:
+    """The packed implementation must equal the literal computation:
     all positions as tokens, -inf additive key mask, pool over in-mask only."""
     rng = np.random.default_rng(2)
     c, h, w = 8, 3, 4
@@ -140,7 +138,7 @@ def test_gathered_encoder_matches_full_grid_masked_attention():
     masks[0, 0:2, 0:2] = 1
     masks[1, 2, 1:4] = 1
     pm, _ = mask_pixel_embedding(p, masks)
-    fast = descriptor_encoder(pm, masks, [layer])
+    fast = descriptor_encoder(p, masks, [layer])
 
     for i in range(2):
         tokens = Tensor(pm.data[i].reshape(c, h * w).T)  # all positions
@@ -164,11 +162,10 @@ def test_zero_residual_decoder_passes_tokens_through():
         layer.ffn2.bias.data[...] = 0
     q = Tensor(rng.standard_normal((3, 8)))
     d = Tensor(rng.standard_normal((3, 8)))
-    outputs = head.interaction_decoder(q, d)
-    q_star, d_star = outputs[-1]
-    np.testing.assert_allclose(q_star.data, head.mlp_queries(q).data, atol=1e-12)
-    np.testing.assert_allclose(d_star.data, head.mlp_descriptors(d).data, atol=1e-12)
-    assert q_star.shape == (3, 8) and d_star.shape == (3, 8)
+    q_star, d_star = head.interaction_decoder(q, d)
+    np.testing.assert_allclose(q_star.data[-1], head.mlp_queries(q).data, atol=1e-12)
+    np.testing.assert_allclose(d_star.data[-1], head.mlp_descriptors(d).data, atol=1e-12)
+    assert q_star.shape == (1, 3, 8) and d_star.shape == (1, 3, 8)
 
 
 def test_compatibility_identity_and_hand_case():
@@ -192,14 +189,14 @@ def test_single_task_head_omits_other_logits():
 
 def test_decision_rules():
     out = HeadOutput(
-        occ_logits=Tensor(np.array([[0.0, 2.0], [-3.0, 0.0]])),
-        depth_logits=Tensor(np.zeros((2, 2, 3))),
+        occ_logits=Tensor(np.array([[[0.0, 2.0], [-3.0, 0.0]]])),
+        depth_logits=Tensor(np.zeros((1, 2, 2, 3))),
         selected_ids=np.arange(2),
     )
     occ = out.occlusion_matrix()
     assert occ.entries[0, 1] == 1 and occ.entries[1, 0] == 0
-    out.depth_logits.data[0, 1] = [0.0, 3.0, 1.0]
-    out.depth_logits.data[1, 0] = [5.0, 1.0, 0.0]
+    out.depth_logits.data[0, 0, 1] = [0.0, 3.0, 1.0]
+    out.depth_logits.data[0, 1, 0] = [5.0, 1.0, 0.0]
     depth = out.depth_matrix()
     assert depth.entries[0, 1] == 1 and depth.entries[1, 0] == 0
 
@@ -207,7 +204,7 @@ def test_decision_rules():
 def test_coherent_depth_decode_always_valid():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        out = HeadOutput(None, Tensor(rng.standard_normal((4, 4, 3))), np.arange(4))
+        out = HeadOutput(None, Tensor(rng.standard_normal((1, 4, 4, 3))), np.arange(4))
         assert validate_depth(out.depth_matrix(coherence=True)) == []
 
 
@@ -217,7 +214,13 @@ def test_aux_outputs_one_per_decoder_layer():
     head = OrderHead(rng, cfg)
     q, p, masks = tiny_inputs(rng)
     out = head.run(q, masks, p, np.arange(2))
-    assert len(out.aux) == 2  # intermediate layers; the final one is the main output
+    assert out.occ_logits.shape == (3, 2, 2)  # intermediate layers, then the final one
+    assert out.depth_logits.shape == (3, 2, 2, 3)
+    with ag.no_grad():
+        final = head.run(q, masks, p, np.arange(2))
+    assert final.occ_logits.shape == (1, 2, 2)
+    np.testing.assert_array_equal(final.occ_logits.data[0], out.occ_logits.data[-1])
+    np.testing.assert_array_equal(final.depth_logits.data[0], out.depth_logits.data[-1])
 
 
 def test_one_forward_per_image_regardless_of_n():
@@ -242,8 +245,8 @@ def test_permutation_equivariance():
     out = head.run(q, masks, p, np.arange(n))
     perm = np.array([2, 0, 3, 1])
     out_p = head.run(ag.take_rows(q, perm), masks[perm], p, perm)
-    np.testing.assert_allclose(out_p.occ_logits.data, out.occ_logits.data[np.ix_(perm, perm)], atol=1e-10)
-    np.testing.assert_allclose(out_p.depth_logits.data, out.depth_logits.data[np.ix_(perm, perm)], atol=1e-10)
+    np.testing.assert_allclose(out_p.occ_logits.data[-1], out.occ_logits.data[-1][np.ix_(perm, perm)], atol=1e-10)
+    np.testing.assert_allclose(out_p.depth_logits.data[-1], out.depth_logits.data[-1][np.ix_(perm, perm)], atol=1e-10)
 
 
 def test_full_head_gradients_against_finite_differences():

@@ -67,12 +67,11 @@ def test_dice_perfect_masks():
     assert dice_loss(logits, targets).item() == pytest.approx(0.0, abs=1e-5)
 
 
-def out_for(n, occ=True, depth=True, aux=()):
+def out_for(n, occ=True, depth=True, layers=1):
     return HeadOutput(
-        occ_logits=Tensor(np.zeros((n, n)), requires_grad=True) if occ else None,
-        depth_logits=Tensor(np.zeros((n, n, 3)), requires_grad=True) if depth else None,
+        occ_logits=Tensor(np.zeros((layers, n, n)), requires_grad=True) if occ else None,
+        depth_logits=Tensor(np.zeros((layers, n, n, 3)), requires_grad=True) if depth else None,
         selected_ids=np.arange(n),
-        aux=list(aux),
     )
 
 
@@ -98,7 +97,7 @@ def test_order_losses_perfect_saturated_logits_vanish():
     for i in range(2):
         for j in range(2):
             if i != j:
-                out.depth_logits.data[i, j, depth.entries[i, j]] = 40.0
+                out.depth_logits.data[0, i, j, depth.entries[i, j]] = 40.0
     assert order_losses(out, occ, depth).item() < 1e-10
 
 
@@ -107,8 +106,8 @@ def test_order_losses_excludes_diagonal():
     out = out_for(2)
     base = order_losses(out, occ, depth).item()
     out2 = out_for(2)
-    out2.occ_logits.data[np.diag_indices(2)] = 1e6
-    out2.depth_logits.data[0, 0] = [1e6, -1e6, 0.0]
+    out2.occ_logits.data[0][np.diag_indices(2)] = 1e6
+    out2.depth_logits.data[0, 0, 0] = [1e6, -1e6, 0.0]
     assert order_losses(out2, occ, depth).item() == pytest.approx(base)
 
 
@@ -129,7 +128,7 @@ def test_order_losses_rejects_minus_one_offdiag():
 def test_aux_outputs_supervised_identically():
     occ, depth = gt_pair()
     main = out_for(2)
-    with_aux = out_for(2, aux=[out_for(2)])
+    with_aux = out_for(2, layers=2)
     single = order_losses(main, occ, depth).item()
     double = order_losses(with_aux, occ, depth).item()
     assert double == pytest.approx(2 * single)

@@ -122,3 +122,63 @@ def test_tiny_backbone_model_trains_one_step():
     model = HolisticModel(np.random.default_rng(0), mc)
     result = train(model, small_samples(2), TrainConfig(iterations=2, batch_size=1, eval_every=10**9))
     assert len(result.loss_curve) >= 1
+
+
+def test_training_on_three_then_six_instances():
+    # One model, two training lists of different instance counts.
+    head = HeadConfig(channels=32, heads=2, d_ffn=32, decoder_layers=1, aux_loss=False, task_mlp_hidden=8)
+    model = HolisticModel(np.random.default_rng(0), ModelConfig(num_queries=8, channels=32, head=head))
+    for n in (3, 6):
+        samples = [sample_from_seed(s, SceneConfig(n_min=n, n_max=n)) for s in range(2)]
+        result = train(model, samples, TrainConfig(iterations=1, batch_size=2, eval_every=10**9))
+        assert np.isfinite(result.loss_curve[-1][1])
+
+
+def test_oracle_assignment_is_identity_and_checked():
+    from sceneorder.backbone import compute_masks, oracle_backbone, quarter_masks
+    from sceneorder.training import _oracle_assignment
+
+    sample = small_samples(1)[0]
+    bb = oracle_backbone(sample, SMALL_MODEL.channels, SMALL_MODEL.num_queries)
+    masks, gt = compute_masks(bb.Q, bb.P), quarter_masks(sample)
+    assert _oracle_assignment(masks, gt).pairs == tuple((i, i) for i in range(sample.n))
+    masks[0, 0, 0] ^= 1
+    with pytest.raises(RuntimeError):
+        _oracle_assignment(masks, gt)
+
+
+def test_rgb_path_matches_once_with_unchanged_loss(monkeypatch):
+    from sceneorder import backbone, training
+    from sceneorder.autograd import no_grad
+    from sceneorder.matching import match_segments
+
+    mc = ModelConfig(
+        backbone="tiny",
+        num_queries=6,
+        channels=24,
+        image_size=32,
+        head=HeadConfig(channels=24, heads=2, d_ffn=32, decoder_layers=1, aux_loss=False, task_mlp_hidden=8),
+    )
+    model = HolisticModel(np.random.default_rng(0), mc)
+    sample = small_samples(1)[0]
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return match_segments(*args)
+
+    monkeypatch.setattr(training, "match_segments", counted)
+    monkeypatch.setattr(backbone, "match_segments", counted)
+    loss = model.training_loss(sample)
+    assert len(calls) == 1
+    # The backbone loss with training_loss's assignment equals the one that
+    # matches the masks Q.P >= 0 itself.
+    with no_grad():
+        bb = model.backbone_output(sample)
+    gt = backbone.quarter_masks(sample)
+    assignment = match_segments(list(backbone.compute_masks(bb.Q, bb.P)), bb.confidences, list(gt))
+    own, own_assignment = backbone.backbone_losses(bb, gt)
+    passed, _ = backbone.backbone_losses(bb, gt, assignment)
+    assert own_assignment == assignment
+    assert passed.item() == own.item()
+    assert np.isfinite(loss.item())
