@@ -24,7 +24,8 @@ from . import autograd as ag
 from .autograd import Tensor
 from .layers import ConfigError, LayerNorm, Linear, Module, TransformerLayer, xavier_uniform
 from .losses import bce_with_logits, dice_loss
-from .matching import match_segments
+from .matching import Assignment
+from .matching import match_segments  # noqa: F401  (orderbench times matching under this name)
 from .synth import SceneSample, downsample_mask
 
 ALPHA = 10.0  # mask channel magnitude: sigmoid saturates well past the rounding tie
@@ -195,19 +196,15 @@ class TinyBackbone(Module):
         return BackboneOutput(Q=queries, P=p, confidences=conf, confidence_logits=conf_logits)
 
 
-def backbone_losses(out: BackboneOutput, gt_masks_q: np.ndarray, assignment=None):
+def backbone_losses(out: BackboneOutput, gt_masks_q: np.ndarray, assignment: Assignment) -> Tensor:
     """Mask BCE + dice on Hungarian-matched queries, plus confidence BCE.
 
-    ``assignment`` is the caller's match of the queries' masks to the
-    ground truth; without one, the masks Q.P >= 0 are matched here.
-    Returns (loss Tensor, assignment).
+    ``assignment`` matches the queries' masks (``compute_masks``) to the
+    ground truth.
     """
     c = out.P.shape[0]
     hw = out.P.shape[1] * out.P.shape[2]
     mask_logits = ag.matmul(out.Q, out.P.reshape(c, hw))  # (N_q, hw)
-    if assignment is None:
-        binary = (mask_logits.data >= 0.0).astype(np.uint8)
-        assignment = match_segments(list(binary.reshape(-1, *out.P.shape[1:])), out.confidences, list(gt_masks_q))
     col_of = assignment.col_of()
     matched_rows = sorted(col_of)
     targets = np.stack([gt_masks_q[col_of[r]].reshape(hw) for r in matched_rows]).astype(np.float64)
@@ -217,4 +214,4 @@ def backbone_losses(out: BackboneOutput, gt_masks_q: np.ndarray, assignment=None
         conf_targets = np.zeros(out.Q.shape[0])
         conf_targets[matched_rows] = 1.0
         loss = loss + bce_with_logits(out.confidence_logits, conf_targets)
-    return loss, assignment
+    return loss

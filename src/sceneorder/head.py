@@ -9,12 +9,14 @@ and read every pairwise relation off a compatibility product followed by
 small task MLPs.
 
 The descriptor encoder packs the in-mask tokens of all instances into one
-(T, C) tensor, instance after instance. Attention runs within each
-instance's rows only and a segment max pools them, so no position outside
-a mask is computed. This is exactly equivalent to running all positions
-with a -inf additive key mask, because masked-out positions receive zero
-attention weight and the pooling reads masked-in positions only; the test
-suite asserts the equivalence against the literal full-grid computation.
+(T, C) tensor, instance after instance. LayerNorm, the FFN and the
+max-pool (a segment max) run on these packed rows only. Attention pads
+each instance's rows to the scene's longest mask, with the padding masked
+out, so every instance attends to its own rows only. This is exactly
+equivalent to running all positions with a -inf additive key mask,
+because masked-out positions receive zero attention weight and the
+pooling reads masked-in positions only; the test suite asserts the
+equivalence against the literal full-grid computation.
 
 The decoder layers' outputs are stacked, so the projections, the
 compatibility product, the task MLPs and the order loss run once for all

@@ -97,8 +97,10 @@ def order_losses(head_out, gt_occ=None, gt_depth=None, lam_o: float = 5.0, lam_d
     Every decoder layer on the logits' leading axis (the final one, and
     the intermediate ones under auxiliary supervision) is supervised
     identically and the per-layer losses are summed: one BCE and one CE
-    node for all layers. Class indices for depth are 0 = not-front,
-    1 = front, 2 = overlap, i.e. the matrix entries themselves.
+    node for all layers. The head emits the intermediate layers only while
+    a tape records, so under ``no_grad`` this is the final layer's loss.
+    Class indices for depth are 0 = not-front, 1 = front, 2 = overlap,
+    i.e. the matrix entries themselves.
     """
     total = None
     if head_out.occ_logits is not None:

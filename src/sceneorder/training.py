@@ -162,6 +162,11 @@ class HolisticModel:
         return oracle_backbone(sample, self.config.channels, self.config.num_queries)
 
     def training_loss(self, sample: SceneSample):
+        """Order loss plus, with the tiny backbone, the backbone loss.
+
+        The auxiliary decoder layers' terms are included only while a tape
+        records; under ``no_grad`` the order loss is the final layer's.
+        """
         bb = self.backbone_output(sample)
         masks = compute_masks(bb.Q, bb.P)
         gt_q = quarter_masks(sample)
@@ -177,7 +182,7 @@ class HolisticModel:
             sample.gt_depth if "depth" in tasks else None,
         )
         if self.config.backbone == "tiny":
-            loss = loss + backbone_losses(bb, gt_q, assignment)[0]
+            loss = loss + backbone_losses(bb, gt_q, assignment)
         return loss
 
     def predict(self, sample: SceneSample, decoupled: bool = True, coherence: bool = False) -> Prediction:

@@ -16,6 +16,7 @@ from sceneorder.backbone import (
     quarter_masks,
 )
 from sceneorder.layers import ConfigError
+from sceneorder.matching import match_segments
 from sceneorder.optim import AdamW
 from sceneorder.synth import SceneConfig, generate_scene, render
 
@@ -100,6 +101,10 @@ def test_tiny_backbone_output_contract():
     assert ((out.confidences >= 0) & (out.confidences <= 1)).all()
 
 
+def matched(out, gt_q):
+    return match_segments(list(compute_masks(out.Q, out.P)), out.confidences, list(gt_q))
+
+
 def test_tiny_backbone_gradient_reaches_patch_embed():
     rng = np.random.default_rng(6)
     bb = TinyBackbone(rng, image_size=16, channels=16, heads=2, num_queries=4, d_ffn=32)
@@ -108,7 +113,7 @@ def test_tiny_backbone_gradient_reaches_patch_embed():
 
     def loss_fn():
         out = bb.forward(sample.image)
-        return backbone_losses(out, gt_q)[0]
+        return backbone_losses(out, gt_q, matched(out, gt_q))
 
     loss = loss_fn()
     loss.backward()
@@ -141,7 +146,8 @@ def test_frozen_backbone_only_adapters_move():
     assert all("adapter" in name for name in bb.named_params())
     opt = AdamW(params, lr=1e-2)
     out = bb.forward(sample.image)
-    loss, _ = backbone_losses(out, quarter_masks(sample))
+    gt_q = quarter_masks(sample)
+    loss = backbone_losses(out, gt_q, matched(out, gt_q))
     loss.backward()
     opt.step()
     after = bb.state_arrays()
