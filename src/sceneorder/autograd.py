@@ -126,9 +126,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # ---- tape ----------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -337,10 +334,14 @@ def relu(a: Tensor) -> Tensor:
     return _make(a.data * keep, (a,), backward)
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    # Stable for large |x|: exp only ever sees -|x|.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # Stable for large |x|: evaluate on the negative half only.
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = sigmoid_np(a.data)
 
     def backward(g):
         a._accumulate(g * out_data * (1.0 - out_data))

@@ -226,10 +226,6 @@ class PairwiseNet(Module):
         return occ, depth
 
 
-def pairwise_forward(image, mask_a, mask_b, net: PairwiseNet):
-    return net.forward(image, mask_a, mask_b)
-
-
 def pairwise_infer_matrices(net: PairwiseNet, image: np.ndarray, masks: np.ndarray):
     """Full-image inference: one forward per unordered pair, n(n-1)/2 total."""
     n = masks.shape[0]

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Commands: gen-data, train, eval, predict, bench, export-graph, vqa-export.
-Shared flags: --seed, --config <json>, --threads, --out <dir>. Exit codes:
+Shared flags: --seed, --config <json>, --threads (no effect), --out <dir>. Exit codes:
 0 success, 2 validation/config failure, 3 data error.
 """
 
@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .annotations import dumps_canonical, load_annotation
+from .backbone import CapacityError
 from .baselines import DEPTHMAP_HEURISTICS
 from .bench import report_text, run_bench, save_report
 from .dataset import VAL_SEED_OFFSET, load_dataset, load_sample, write_dataset
 from .evaluation import evaluate, heuristic_predictor, model_predictor
-from .head import HeadConfig, NothingToOrder
+from .head import NothingToOrder
 from .layers import ConfigError
 from .matching import InputError
 from .metrics import report_json, report_table
@@ -51,11 +52,7 @@ def scene_config(cfg: dict) -> SceneConfig:
 
 
 def model_config(cfg: dict) -> ModelConfig:
-    obj = dict(cfg.get("model", {}))
-    head = obj.pop("head", {})
-    if "tasks" in head:
-        head["tasks"] = tuple(head["tasks"])
-    return ModelConfig(head=HeadConfig(**head), **obj)
+    return ModelConfig.from_dict(cfg.get("model", {}))
 
 
 def train_config(cfg: dict, seed: int | None) -> TrainConfig:
@@ -68,7 +65,7 @@ def train_config(cfg: dict, seed: int | None) -> TrainConfig:
 def _add_common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for data generation/loading")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", type=str, required=out_required, help="output directory")
 
 
@@ -79,8 +76,8 @@ def cmd_gen_data(args) -> int:
     train_count = int(data.get("train_count", 2000))
     val_count = int(data.get("val_count", 200))
     out = Path(args.out)
-    write_dataset(out / "train", train_count, scfg, args.seed, threads=args.threads)
-    write_dataset(out / "val", val_count, scfg, args.seed + VAL_SEED_OFFSET, threads=args.threads)
+    write_dataset(out / "train", train_count, scfg, args.seed)
+    write_dataset(out / "val", val_count, scfg, args.seed + VAL_SEED_OFFSET)
     print(f"wrote {train_count} train / {val_count} val scenes under {out}")
     return EXIT_OK
 
@@ -90,9 +87,9 @@ def cmd_train(args) -> int:
     mc = model_config(cfg)
     tc = train_config(cfg, args.seed)
     data_dir = Path(args.data)
-    train_samples = load_dataset(data_dir / "train", threads=args.threads)
+    train_samples = load_dataset(data_dir / "train")
     val_dir = data_dir / "val"
-    val_samples = load_dataset(val_dir, threads=args.threads) if val_dir.exists() else None
+    val_samples = load_dataset(val_dir) if val_dir.exists() else None
     model = HolisticModel(np.random.default_rng(tc.seed), mc)
     result = train(model, train_samples, tc, val_samples=val_samples, log=print)
     out = Path(args.out)
@@ -116,7 +113,7 @@ def cmd_eval(args) -> int:
         model = HolisticModel.load(args.checkpoint)
         predictor = model_predictor(model, decoupled=True, coherence=args.coherence)
         name = "holistic"
-    samples = load_dataset(args.data, threads=args.threads)
+    samples = load_dataset(args.data)
     report = evaluate(samples, predictor, aggregate=args.aggregate)
     payload = report.to_payload()
     payload["predictor"] = name
@@ -257,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, StructuralError, InputError) as exc:
+    except (ConfigError, StructuralError, InputError, CapacityError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DataError, FormatError, FileNotFoundError) as exc:

@@ -1,12 +1,12 @@
 """Dataset generation and loading: PPM/PGM images plus annotation JSON.
 
 Every sample is derived from its own integer seed, so generation is
-reproducible and indifferent to how work is spread across threads.
+reproducible. Writing and loading run in one thread: a thread pool was no
+faster, and the CLI's --threads flag has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,19 +42,11 @@ def _write_sample(out_dir: Path, index: int, sample: SceneSample) -> None:
     save_annotation(out_dir / f"{stem}.json", sample_to_annotation(sample, f"{stem}.ppm"))
 
 
-def write_dataset(out_dir, count: int, config: SceneConfig, seed: int, threads: int = 1) -> None:
+def write_dataset(out_dir, count: int, config: SceneConfig, seed: int) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def job(index: int) -> None:
+    for index in range(count):
         _write_sample(out_dir, index, sample_from_seed(seed + index, config))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(job, range(count)))
-    else:
-        for index in range(count):
-            job(index)
 
 
 def load_sample(json_path: Path) -> SceneSample:
@@ -74,12 +66,9 @@ def load_sample(json_path: Path) -> SceneSample:
     )
 
 
-def load_dataset(directory, threads: int = 1) -> list[SceneSample]:
+def load_dataset(directory) -> list[SceneSample]:
     directory = Path(directory)
     paths = sorted(directory.glob("scene_*.json"))
     if not paths:
         raise DataError(f"no scene_*.json files under {directory}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(load_sample, paths))
     return [load_sample(p) for p in paths]

@@ -93,7 +93,7 @@ class HeadOutput:
         mat = OcclusionMatrix.empty(n)
         if self.occ_logits is None:
             raise ConfigError("occlusion head was not initialized")
-        pred = (_sigmoid_np(self.occ_logits.data[-1]) > 0.5).astype(np.int64)
+        pred = (ag.sigmoid_np(self.occ_logits.data[-1]) > 0.5).astype(np.int64)
         off = ~np.eye(n, dtype=bool)
         mat.entries[off] = pred[off]
         return mat
@@ -133,10 +133,6 @@ class HeadOutput:
             off = ~np.eye(n, dtype=bool)
             mat.entries[off] = pred[off]
         return mat
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 # ---- selection ----------------------------------------------------------------

@@ -200,8 +200,3 @@ class TransformerLayer(Module):
         if self.ffn_adapter is not None:
             h = self.ffn_adapter(h)
         return x + h
-
-
-def transformer_layer(tokens: Tensor, layer: TransformerLayer, addmask=None) -> Tensor:
-    """Functional form used by tests: shape-preserving token update."""
-    return layer(tokens, addmask=addmask)

@@ -1,9 +1,11 @@
 """Minimum-cost injective assignment (Hungarian) and segment matching.
 
-The solver is the O(n^3) potential/augmenting-path method. On top of it,
-``hungarian`` canonicalizes ties: among all minimum-cost assignments it
-returns the lexicographically smallest pair list, so equal-cost inputs
-(common with 1-IoU costs saturating at 1) resolve deterministically.
+The solver is scipy's ``linear_sum_assignment``. On top of it, ``hungarian``
+canonicalizes ties: among all minimum-cost assignments it returns the
+lexicographically smallest pair list, so equal-cost inputs (common with
+1-IoU costs saturating at 1) resolve deterministically. It starts from the
+optimum it already has and sub-solves only for a smaller column that might
+tie, so a unique optimum costs one solve.
 """
 
 from __future__ import annotations
@@ -25,58 +27,14 @@ class Assignment:
     def col_of(self) -> dict[int, int]:
         return {r: c for r, c in self.pairs}
 
-    def row_of(self) -> dict[int, int]:
-        return {c: r for r, c in self.pairs}
-
 
 def _solve(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    """Optimal columns for an n x m cost matrix with n <= m (1-based internals)."""
-    n, m = cost.shape
-    INF = 1e18
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=np.int64)  # row matched to column j
-    way = np.zeros(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, INF)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used[1:]
-            cur = cost[i0 - 1] - u[i0] - v[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            masked = np.where(free, minv[1:], INF)
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    cols = np.zeros(n, dtype=np.int64)
-    for j in range(1, m + 1):
-        if p[j]:
-            cols[p[j] - 1] = j - 1
-    total = float(cost[np.arange(n), cols].sum())
-    return cols, total
+    """Optimal column of each row of an n x m cost matrix with n <= m, and
+    the total cost."""
+    from scipy.optimize import linear_sum_assignment  # deferred: costs ~0.2 s at import
 
-
-def _optimal_cost(cost: np.ndarray) -> float:
-    if cost.shape[0] == 0 or cost.shape[1] == 0:
-        return 0.0
-    if cost.shape[0] <= cost.shape[1]:
-        return _solve(cost)[1]
-    return _solve(cost.T)[1]
+    rows, cols = linear_sum_assignment(cost)
+    return cols, float(cost[rows, cols].sum())
 
 
 def hungarian(cost) -> Assignment:
@@ -91,60 +49,51 @@ def hungarian(cost) -> Assignment:
     if not np.isfinite(cost).all():
         raise InputError("cost matrix contains NaN or Inf")
     transposed = cost.shape[0] > cost.shape[1]
-    work = cost.T.copy() if transposed else cost.copy()
+    work = cost.T if transposed else cost
     n, m = work.shape
     if n == 0:
         return Assignment((), 0.0)
 
-    best_total = _solve(work)[1]
-    tol = 1e-9 * max(1.0, abs(best_total))
+    cols, residual = _solve(work)
+    tol = 1e-9 * max(1.0, abs(residual))
 
-    # Fix pairs row by row, smallest feasible column first: yields the
-    # lexicographically smallest optimal assignment.
-    remaining_cols = list(range(m))
-    fixed: list[tuple[int, int]] = []
-    residual = best_total
+    # Fix pairs row by row. best[i:] is an optimal completion of rows i..n-1
+    # over the free columns, so row i takes best[i] unless a smaller free
+    # column also reaches the residual optimum: the lexicographically
+    # smallest optimal assignment.
+    best = cols.tolist()
+    free = list(range(m))
     for i in range(n):
-        sub_rows = slice(i + 1, n)
-        for j in remaining_cols:
-            rest_cols = [c for c in remaining_cols if c != j]
-            rest = work[sub_rows][:, rest_cols]
-            achievable = work[i, j] + _optimal_cost(rest)
-            if abs(achievable - residual) <= tol:
-                fixed.append((i, j))
-                remaining_cols = rest_cols
-                residual -= work[i, j]
+        for j in free:
+            if j >= best[i]:
                 break
-        else:
-            raise RuntimeError("canonicalization failed to reproduce the optimal cost")
+            rest = [c for c in free if c != j]
+            sub, sub_cost = _solve(work[i + 1 :, rest]) if i + 1 < n else ((), 0.0)
+            if abs(work[i, j] + sub_cost - residual) <= tol:
+                best[i:] = [j] + [rest[k] for k in sub]
+                break
+        free.remove(best[i])
+        residual -= work[i, best[i]]
 
+    pairs = tuple(enumerate(best))
     if transposed:
-        pairs = tuple(sorted((r, c) for c, r in fixed))
-    else:
-        pairs = tuple(fixed)
-    return Assignment(pairs, best_total)
-
-
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        return 0.0
-    return float(np.logical_and(a, b).sum() / union)
+        pairs = tuple(sorted((r, c) for c, r in pairs))
+    return Assignment(pairs, float(work[np.arange(n), best].sum()))
 
 
 def match_segments(pred_masks, pred_conf, gt_masks) -> Assignment:
     """Hungarian over cost(i,j) = 1 - IoU(pred_i, gt_j).
 
+    Nonzero pixels are in the mask, and two empty masks have IoU 0.
     Confidences are accepted for interface parity with the inference path
     but do not enter the cost; an all-zero predicted mask simply scores
     IoU 0 against everything.
     """
     if len(gt_masks) == 0:
         raise InputError("match_segments needs at least one ground-truth mask")
-    cost = np.empty((len(pred_masks), len(gt_masks)))
-    for i, pm in enumerate(pred_masks):
-        for j, gm in enumerate(gt_masks):
-            cost[i, j] = 1.0 - mask_iou(pm, gm)
-    return hungarian(cost)
+    g = (np.asarray(gt_masks) != 0).reshape(len(gt_masks), -1).astype(np.float64)
+    p = (np.asarray(pred_masks) != 0).reshape(-1, g.shape[1]).astype(np.float64)
+    inter = p @ g.T
+    union = p.sum(axis=1)[:, None] + g.sum(axis=1)[None, :] - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    return hungarian(1.0 - iou)

@@ -23,11 +23,10 @@ class AdamW:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
+        """One update. A parameter whose ``grad`` is None is only decayed; its
+        moments stay as they are. An all-zero gradient still decays the
+        moments, and the parameter moves by its remaining momentum."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t

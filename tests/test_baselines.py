@@ -8,7 +8,6 @@ from sceneorder.baselines import (
     PairwiseNet,
     area_order,
     depth_from_depthmap,
-    pairwise_forward,
     pairwise_infer_matrices,
     yaxis_depth,
     yaxis_occlusion,
@@ -154,7 +153,7 @@ def test_heuristics_validate_on_generated_scenes():
 def test_pairwise_output_arity():
     rng = np.random.default_rng(0)
     net = PairwiseNet(rng, image_size=16, width=4)
-    occ, depth = pairwise_forward(np.zeros((16, 16, 3)), np.zeros((16, 16)), np.ones((16, 16)), net)
+    occ, depth = net.forward(np.zeros((16, 16, 3)), np.zeros((16, 16)), np.ones((16, 16)))
     assert occ.shape == (2,) and depth.shape == (3,)
 
 

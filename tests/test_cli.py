@@ -159,3 +159,14 @@ def test_invalid_scene_config_is_validation_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scene": {"n_min": 1, "n_max": 3}}))
     assert main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
+
+
+def test_more_instances_than_queries_is_validation_error(workspace, tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["model"]["num_queries"] = 1  # every scene has at least n_min = 2 instances
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "run"), "--config", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("validation error:") and "exceed 1 queries" in err and "\n" not in err

@@ -13,7 +13,6 @@ from sceneorder.layers import (
     Mlp,
     MultiHeadAttention,
     TransformerLayer,
-    transformer_layer,
 )
 
 from fd import check_grads
@@ -51,8 +50,8 @@ def test_transformer_layer_shape_preserved_and_deterministic():
     rng = np.random.default_rng(3)
     layer = TransformerLayer(rng, dim=8, heads=4, d_ffn=32)
     x = Tensor(np.random.default_rng(4).standard_normal((7, 8)))
-    out1 = transformer_layer(x, layer)
-    out2 = transformer_layer(x, layer)
+    out1 = layer(x)
+    out2 = layer(x)
     assert out1.shape == (7, 8)
     assert np.array_equal(out1.data, out2.data)
 

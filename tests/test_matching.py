@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from sceneorder.matching import Assignment, InputError, hungarian, mask_iou, match_segments
+from sceneorder import matching
+from sceneorder.matching import Assignment, InputError, hungarian, match_segments
 
 
 def brute_force(cost: np.ndarray) -> tuple[tuple, float]:
@@ -54,6 +55,15 @@ def test_nan_rejected():
         hungarian([[np.nan, 1.0], [1.0, 2.0]])
 
 
+def _saturated_iou_cost(rng, n, m):
+    """1 - IoU of sparse random masks on a 4x4 grid: mostly exactly 1."""
+    pred = rng.random((n, 16)) < 0.15
+    gt = rng.random((m, 16)) < 0.15
+    inter = (pred[:, None] & gt[None]).sum(-1)
+    union = (pred[:, None] | gt[None]).sum(-1)
+    return 1.0 - np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+
+
 def test_matches_brute_force_on_random_matrices():
     rng = np.random.default_rng(0)
     start = time.perf_counter()
@@ -61,6 +71,19 @@ def test_matches_brute_force_on_random_matrices():
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 8))
         cost = rng.random((n, m)) * 10
+        a = hungarian(cost)
+        pairs, total = brute_force(cost)
+        assert abs(a.total_cost - total) < 1e-9, (trial, cost)
+        assert a.pairs == pairs, (trial, cost)
+    # Tie-heavy inputs, where the lexicographic rule decides among optima.
+    tie_rng = np.random.default_rng(1)
+    for trial in range(400):
+        n = int(tie_rng.integers(1, 8))
+        m = int(tie_rng.integers(1, 8))
+        if trial % 2:
+            cost = tie_rng.integers(0, 3, (n, m)).astype(np.float64)
+        else:
+            cost = _saturated_iou_cost(tie_rng, n, m)
         a = hungarian(cost)
         pairs, total = brute_force(cost)
         assert abs(a.total_cost - total) < 1e-9, (trial, cost)
@@ -125,5 +148,17 @@ def test_all_zero_pred_mask_allowed():
 def test_mask_iou_basic():
     a = _mask(4, 4, np.s_[0:2, 0:4])
     b = _mask(4, 4, np.s_[1:3, 0:4])
-    assert mask_iou(a, b) == pytest.approx(4 / 12)
-    assert mask_iou(np.zeros((4, 4)), np.zeros((4, 4))) == 0.0
+    assert match_segments([a], [1.0], [b]).total_cost == pytest.approx(1 - 4 / 12)
+    assert match_segments([np.zeros((4, 4))], [1.0], [np.zeros((4, 4))]).total_cost == 1.0
+
+
+def test_unique_optimum_costs_one_solve(monkeypatch):
+    # Oracle shape: 24 queries against 20 instances, the last 4 queries empty.
+    gt = [_mask(20, 20, np.s_[i, :]) for i in range(20)]
+    pred = gt + [np.zeros((20, 20), dtype=np.uint8)] * 4
+    calls = []
+    solve = matching._solve
+    monkeypatch.setattr(matching, "_solve", lambda cost: calls.append(cost.shape) or solve(cost))
+    a = match_segments(pred, [1.0] * 24, gt)
+    assert a.pairs == tuple((i, i) for i in range(20)) and a.total_cost == 0.0
+    assert calls == [(20, 24)]
