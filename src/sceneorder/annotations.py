@@ -98,6 +98,15 @@ def save_annotation(path, ann: SceneAnnotation) -> None:
 
 
 def annotation_from_obj(obj: dict) -> SceneAnnotation:
+    try:
+        return _annotation_from_obj(obj)
+    except DataError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed annotation ({type(exc).__name__}: {exc})") from exc
+
+
+def _annotation_from_obj(obj: dict) -> SceneAnnotation:
     if obj.get("version") != SCHEMA_VERSION:
         raise DataError(f"unsupported annotation version {obj.get('version')!r}")
     image = obj["image"]

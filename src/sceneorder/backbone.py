@@ -55,8 +55,7 @@ def compute_masks(Q, P, threshold: float = 0.5) -> np.ndarray:
     c, h, w = p.shape
     if q.shape[-1] != c:
         raise ConfigError(f"query dim {q.shape[-1]} does not match P channels {c}")
-    logits = q @ p.reshape(c, h * w)
-    probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
+    probs = ag.sigmoid_np(q @ p.reshape(c, h * w))
     return (probs >= threshold).astype(np.uint8).reshape(-1, h, w)
 
 
@@ -192,7 +191,7 @@ class TinyBackbone(Module):
         p = self.pixel_decoder(pixels)  # (hq*hq, C)
         p = ag.swapaxes(p, 0, 1).reshape(self.channels, hq, hq)
         conf_logits = self.conf_head(queries).reshape(self.num_queries)
-        conf = 1.0 / (1.0 + np.exp(-conf_logits.data))
+        conf = ag.sigmoid_np(conf_logits.data)
         return BackboneOutput(Q=queries, P=p, confidences=conf, confidence_logits=conf_logits)
 
 

@@ -20,7 +20,15 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .layers import ConfigError, Linear, Module, xavier_uniform
-from .orders import DepthMatrix, OcclusionMatrix, tight_bbox
+from .orders import (
+    DepthMatrix,
+    OcclusionMatrix,
+    depth_from_argmax,
+    depth_from_intervals,
+    depth_from_scores,
+    pair_indices,
+    tight_bbox,
+)
 
 
 def _centroid_y(mask: np.ndarray) -> float:
@@ -32,24 +40,6 @@ def _bboxes_intersect(a, b) -> bool:
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b
     return ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1
-
-
-def _depth_from_scores(scores: list[float | None], n: int) -> DepthMatrix:
-    """Larger score = closer; exact ties overlap; None scores excluded."""
-    mat = DepthMatrix.empty(n)
-    mat.pair_weights = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            si, sj = scores[i], scores[j]
-            if si is None or sj is None:
-                continue
-            if si > sj:
-                mat.entries[i, j] = 1
-            elif sj > si:
-                mat.entries[j, i] = 1
-            else:
-                mat.entries[i, j] = mat.entries[j, i] = 2
-    return mat
 
 
 def _occlusion_from_scores(scores, masks, n: int) -> OcclusionMatrix:
@@ -65,26 +55,18 @@ def _occlusion_from_scores(scores, masks, n: int) -> OcclusionMatrix:
 
 
 def _mask_scores(masks, score_fn):
-    scores = []
-    flags = []
-    for m in masks:
-        if not np.asarray(m).any():
-            scores.append(None)
-            flags.append(True)
-        else:
-            scores.append(score_fn(np.asarray(m)))
-            flags.append(False)
-    return scores, np.array(flags)
+    """One score per mask; None for an empty mask."""
+    return [score_fn(np.asarray(m)) if np.asarray(m).any() else None for m in masks]
 
 
 def yaxis_depth(masks) -> DepthMatrix:
     """Rank by mask-centroid height: lower in the image (larger y) = closer."""
-    scores, _ = _mask_scores(masks, _centroid_y)
-    return _depth_from_scores(scores, len(masks))
+    scores = _mask_scores(masks, _centroid_y)
+    return depth_from_scores(scores)
 
 
 def yaxis_occlusion(masks) -> OcclusionMatrix:
-    scores, _ = _mask_scores(masks, _centroid_y)
+    scores = _mask_scores(masks, _centroid_y)
     return _occlusion_from_scores(scores, masks, len(masks))
 
 
@@ -95,9 +77,9 @@ def area_order(masks, task: str):
     needs intersecting bounding boxes and area(i) > area(j); equal areas
     produce no edge.
     """
-    scores, _ = _mask_scores(masks, lambda m: float(m.sum()))
+    scores = _mask_scores(masks, lambda m: float(m.sum()))
     if task == "depth":
-        return _depth_from_scores(scores, len(masks))
+        return depth_from_scores(scores)
     if task == "occlusion":
         return _occlusion_from_scores(scores, masks, len(masks))
     raise ConfigError(f"unknown task {task!r}")
@@ -115,44 +97,14 @@ def depth_from_depthmap(depth_map: np.ndarray, masks, heuristic: str, tau: float
     """
     if heuristic not in DEPTHMAP_HEURISTICS:
         raise ConfigError(f"heuristic must be one of {DEPTHMAP_HEURISTICS}")
-    n = len(masks)
-    values = []
-    for m in masks:
-        sel = depth_map[np.asarray(m, dtype=bool)]
-        values.append(sel if sel.size else None)
-
+    values = [depth_map[np.asarray(m, dtype=bool)] for m in masks]
     if heuristic == "minmax":
-        mat = DepthMatrix.empty(n)
-        mat.pair_weights = np.ones((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if values[i] is None or values[j] is None:
-                    continue
-                lo_i, hi_i = values[i].min(), values[i].max()
-                lo_j, hi_j = values[j].min(), values[j].max()
-                if hi_i < lo_j:
-                    mat.entries[i, j] = 1
-                elif hi_j < lo_i:
-                    mat.entries[j, i] = 1
-                else:
-                    mat.entries[i, j] = mat.entries[j, i] = 2
-        return mat
-
+        lo = [v.min() if v.size else None for v in values]
+        hi = [v.max() if v.size else None for v in values]
+        return depth_from_intervals(lo, hi)
     stat = np.mean if heuristic == "mean" else np.median
-    mat = DepthMatrix.empty(n)
-    mat.pair_weights = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if values[i] is None or values[j] is None:
-                continue
-            di, dj = float(stat(values[i])), float(stat(values[j]))
-            if abs(di - dj) <= tau:
-                mat.entries[i, j] = mat.entries[j, i] = 2
-            elif di < dj:  # smaller depth = closer
-                mat.entries[i, j] = 1
-            else:
-                mat.entries[j, i] = 1
-    return mat
+    # negated, because a smaller depth is nearer
+    return depth_from_scores([-float(stat(v)) if v.size else None for v in values], tau)
 
 
 # ---- pairwise baseline network -------------------------------------------------
@@ -230,19 +182,12 @@ def pairwise_infer_matrices(net: PairwiseNet, image: np.ndarray, masks: np.ndarr
     """Full-image inference: one forward per unordered pair, n(n-1)/2 total."""
     n = masks.shape[0]
     occ = OcclusionMatrix.empty(n)
-    depth = DepthMatrix.empty(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            occ_logits, depth_logits = net.forward(image, masks[i], masks[j])
-            if occ_logits.data[0] > 0:
-                occ.entries[i, j] = 1
-            if occ_logits.data[1] > 0:
-                occ.entries[j, i] = 1
-            k = int(np.argmax(depth_logits.data))
-            if k == 0:  # i in front
-                depth.entries[i, j], depth.entries[j, i] = 1, 0
-            elif k == 1:
-                depth.entries[i, j], depth.entries[j, i] = 0, 1
-            else:
-                depth.entries[i, j] = depth.entries[j, i] = 2
-    return occ, depth
+    depth_scores = []
+    for i, j in zip(*pair_indices(n)):
+        occ_logits, depth_logits = net.forward(image, masks[i], masks[j])
+        if occ_logits.data[0] > 0:
+            occ.entries[i, j] = 1
+        if occ_logits.data[1] > 0:
+            occ.entries[j, i] = 1
+        depth_scores.append(depth_logits.data)
+    return occ, depth_from_argmax(n, np.reshape(depth_scores, (-1, 3)))

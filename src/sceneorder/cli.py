@@ -21,7 +21,7 @@ from .bench import report_text, run_bench, save_report
 from .dataset import VAL_SEED_OFFSET, load_dataset, load_sample, write_dataset
 from .evaluation import evaluate, heuristic_predictor, model_predictor
 from .head import NothingToOrder
-from .layers import ConfigError
+from .layers import ConfigError, config_from_dict
 from .matching import InputError
 from .metrics import report_json, report_table
 from .orders import DataError, StructuralError, matrix_to_pairs, to_dot
@@ -48,15 +48,15 @@ def load_config(path: str | None) -> dict:
 
 
 def scene_config(cfg: dict) -> SceneConfig:
-    return SceneConfig(**cfg.get("scene", {}))
+    return config_from_dict(SceneConfig, cfg.get("scene", {}), "scene")
 
 
 def model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig.from_dict(cfg.get("model", {}))
+    return config_from_dict(ModelConfig, cfg.get("model", {}), "model")
 
 
 def train_config(cfg: dict, seed: int | None) -> TrainConfig:
-    tc = TrainConfig.from_dict(cfg.get("train", {}))
+    tc = config_from_dict(TrainConfig, cfg.get("train", {}), "train")
     if seed is not None:
         tc.seed = seed
     return tc

@@ -54,6 +54,8 @@ def load_sample(json_path: Path) -> SceneSample:
     directory = json_path.parent
     image = read_ppm(directory / ann.image_path)
     depth = read_pgm16(directory / (json_path.stem + "_depth.pgm"))
+    if image.shape[:2] != (ann.height, ann.width) or depth.shape != (ann.height, ann.width):
+        raise DataError(f"{json_path}: image or depth map size differs from the annotation's {ann.width}x{ann.height}")
     masks = np.stack([inst.bitmap for inst in ann.instances])
     return SceneSample(
         image=image,

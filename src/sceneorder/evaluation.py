@@ -5,7 +5,7 @@ space, then score orders.
 Matching quality and order quality are thereby separated: every ground-truth
 instance that has a matching prediction is scored on its pairs, and pairs of
 unmatched ground-truth instances count as errors (no positive occlusion
-prediction; an out-of-range depth relation that disagrees with everything).
+prediction; no depth relation, which disagrees with every annotated one).
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .matching import match_segments
 from .metrics import MetricAccumulator, occlusion_prf, whdr_sums
 from .orders import DepthMatrix, OcclusionMatrix, StructuralError
 from .synth import SceneSample
-
-UNMATCHED_DEPTH = 9  # differs from every valid relation code
-
 
 @dataclass
 class EvalReport:
@@ -44,22 +41,18 @@ def align_to_gt(pred_occ, pred_depth, pairs, n_gt: int):
     """Reindex prediction matrices into ground-truth instance space.
 
     ``pairs`` maps prediction index -> gt index. Unmatched gt rows/columns
-    keep 0 for occlusion and an out-of-range code for depth.
+    keep 0, so an unmatched instance's pairs carry no occlusion and no
+    depth relation.
     """
-    occ = OcclusionMatrix.empty(n_gt) if pred_occ is not None else None
-    depth = None
+    p = np.array([a for a, _ in pairs], dtype=np.int64)
+    g = np.array([b for _, b in pairs], dtype=np.int64)
+    occ = depth = None
+    if pred_occ is not None:
+        occ = OcclusionMatrix.empty(n_gt)
+        occ.entries[np.ix_(g, g)] = pred_occ.entries[np.ix_(p, p)]
     if pred_depth is not None:
         depth = DepthMatrix.empty(n_gt)
-        off = ~np.eye(n_gt, dtype=bool)
-        depth.entries[off] = UNMATCHED_DEPTH
-    for p_a, g_a in pairs:
-        for p_b, g_b in pairs:
-            if g_a == g_b:
-                continue
-            if occ is not None:
-                occ.entries[g_a, g_b] = pred_occ.entries[p_a, p_b]
-            if depth is not None:
-                depth.entries[g_a, g_b] = pred_depth.entries[p_a, p_b]
+        depth.entries[np.ix_(g, g)] = pred_depth.entries[np.ix_(p, p)]
     return occ, depth
 
 

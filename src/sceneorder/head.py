@@ -106,32 +106,20 @@ class HeadOutput:
         jointly over {i front, j front, overlap} by summed logits, which
         always yields a valid matrix.
         """
-        from .orders import DepthMatrix
+        from .orders import DepthMatrix, depth_from_argmax, pair_indices
 
         n = len(self.selected_ids)
-        mat = DepthMatrix.empty(n)
         if self.depth_logits is None:
             raise ConfigError("depth head was not initialized")
         logits = self.depth_logits.data[-1]
         if coherence:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    scores = (
-                        logits[i, j, 1] + logits[j, i, 0],  # i in front
-                        logits[i, j, 0] + logits[j, i, 1],  # j in front
-                        logits[i, j, 2] + logits[j, i, 2],  # overlapping ranges
-                    )
-                    k = int(np.argmax(scores))
-                    if k == 0:
-                        mat.entries[i, j], mat.entries[j, i] = 1, 0
-                    elif k == 1:
-                        mat.entries[i, j], mat.entries[j, i] = 0, 1
-                    else:
-                        mat.entries[i, j] = mat.entries[j, i] = 2
-        else:
-            pred = np.argmax(logits, axis=-1)
-            off = ~np.eye(n, dtype=bool)
-            mat.entries[off] = pred[off]
+            # i front: (i, j) says "in front" (1), (j, i) says "not" (0); j front the reverse
+            i, j = pair_indices(n)
+            return depth_from_argmax(n, logits[i, j][:, [1, 0, 2]] + logits[j, i])
+        mat = DepthMatrix.empty(n)
+        pred = np.argmax(logits, axis=-1)
+        off = ~np.eye(n, dtype=bool)
+        mat.entries[off] = pred[off]
         return mat
 
 

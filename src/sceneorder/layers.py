@@ -2,10 +2,15 @@
 
 All layers are pre-norm and operate on token tensors shaped (..., t, C),
 so the same code serves single sequences and batched ones; attention can
-also run over packed (T, C) rows of independent sequences.
+also run over packed (T, C) rows of independent sequences. The module
+also holds ConfigError and ``config_from_dict``, which every config
+dataclass is built with.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import typing
 
 import numpy as np
 
@@ -15,6 +20,28 @@ from .autograd import Tensor
 
 class ConfigError(ValueError):
     """Inconsistent layer / model configuration."""
+
+
+def config_from_dict(cls, obj, section: str):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Nested config dataclasses are built the same way and lists become
+    tuples in tuple fields. A key that names no field raises ConfigError
+    naming the section and the key.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section}: expected an object, got {type(obj).__name__}")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in obj.items():
+        if key not in types:
+            raise ConfigError(f"{section}: unknown key {key!r}")
+        if dataclasses.is_dataclass(types[key]):
+            value = config_from_dict(types[key], value, f"{section}.{key}")
+        elif types[key] is tuple and isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> Tensor:
@@ -31,22 +58,20 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
 class Module:
     """Plain attribute-walking container; no registration ceremony."""
 
-    def named_params(self, prefix: str = "") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+    def _named_tensors(self, prefix: str = ""):
+        """Every tensor attribute by dotted name, frozen ones included, also
+        inside submodules and inside lists and tuples (by index)."""
         for name, value in vars(self).items():
-            key = f"{prefix}{name}"
-            if isinstance(value, Tensor):
-                if value.requires_grad:
-                    out[key] = value
-            elif isinstance(value, Module):
-                out.update(value.named_params(f"{key}."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.update(item.named_params(f"{key}.{i}."))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        out[f"{key}.{i}"] = item
-        return out
+            items = enumerate(value) if isinstance(value, (list, tuple)) else [(None, value)]
+            for i, item in items:
+                key = f"{prefix}{name}" if i is None else f"{prefix}{name}.{i}"
+                if isinstance(item, Tensor):
+                    yield key, item
+                elif isinstance(item, Module):
+                    yield from item._named_tensors(f"{key}.")
+
+    def named_params(self) -> dict[str, Tensor]:
+        return {key: t for key, t in self._named_tensors() if t.requires_grad}
 
     def params(self) -> list[Tensor]:
         return list(self.named_params().values())
@@ -61,21 +86,7 @@ class Module:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All parameters (frozen included) as raw arrays, for checkpoints."""
-        out: dict[str, np.ndarray] = {}
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor):
-                out[name] = value.data
-            elif isinstance(value, Module):
-                for k, v in value.state_arrays().items():
-                    out[f"{name}.{k}"] = v
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        for k, v in item.state_arrays().items():
-                            out[f"{name}.{i}.{k}"] = v
-                    elif isinstance(item, Tensor):
-                        out[f"{name}.{i}"] = item.data
-        return out
+        return {key: t.data for key, t in self._named_tensors()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         have = self.state_arrays()

@@ -2,8 +2,9 @@
 
 Occlusion metrics compare every off-diagonal entry of the binary order
 matrices. WHDR (weighted human disagreement rate) compares unordered-pair
-depth relations, weighted by the annotation weights w = 2/count, split
-into the {distinct, overlap, all} ground-truth strata.
+depth relations, as ``orders.decode_depth`` reads them off both
+matrices, weighted by the annotation weights w = 2/count, split into the
+{distinct, overlap, all} ground-truth strata.
 
 Per-sample values are macro-averaged over the samples where they are
 defined; micro pooling is available as an option.
@@ -16,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orders import OVERLAP, DepthMatrix, OcclusionMatrix, StructuralError
-
-PAIR_NONE = 3  # pair-level code for "no relation annotated/predicted"
+from .orders import NONE, OVERLAP, DepthMatrix, OcclusionMatrix, StructuralError, decode_depth, pair_indices
 
 
 @dataclass(frozen=True)
@@ -44,35 +43,20 @@ def occlusion_prf(pred: OcclusionMatrix, gt: OcclusionMatrix) -> PrfResult:
     return PrfResult(recall, precision, f1)
 
 
-def pair_relation(entries: np.ndarray, i: int, j: int) -> int:
-    """Unordered-pair depth code: 1 = i front, 0 = j front, 2 = overlap, 3 = none."""
-    if entries[i, j] == OVERLAP and entries[j, i] == OVERLAP:
-        return OVERLAP
-    if entries[i, j] == 1:
-        return 1
-    if entries[j, i] == 1:
-        return 0
-    return PAIR_NONE
+def _running_sum(values: np.ndarray) -> float:
+    """Sum in pair order, one addition after another, as a loop would."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def whdr_sums(pred: DepthMatrix, gt: DepthMatrix) -> dict[str, tuple[float, float]]:
     """Weighted (disagreement, total) sums per category, keyed on the GT relation."""
     if pred.entries.shape != gt.entries.shape:
         raise StructuralError(f"size mismatch: {pred.entries.shape} vs {gt.entries.shape}")
-    sums = {"distinct": [0.0, 0.0], "overlap": [0.0, 0.0], "all": [0.0, 0.0]}
-    n = gt.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = pair_relation(gt.entries, i, j)
-            if g == PAIR_NONE:
-                continue
-            category = "overlap" if g == OVERLAP else "distinct"
-            w = gt.weight(i, j)
-            wrong = float(pair_relation(pred.entries, i, j) != g)
-            for key in (category, "all"):
-                sums[key][0] += w * wrong
-                sums[key][1] += w
-    return {k: (num, den) for k, (num, den) in sums.items()}
+    g, p = decode_depth(gt), decode_depth(pred)
+    w = np.ones(g.size) if gt.pair_weights is None else gt.pair_weights[pair_indices(gt.n)]
+    wrong = p != g
+    categories = {"distinct": (g != NONE) & (g != OVERLAP), "overlap": g == OVERLAP, "all": g != NONE}
+    return {k: (_running_sum(w[sel & wrong]), _running_sum(w[sel])) for k, sel in categories.items()}
 
 
 def whdr(pred: DepthMatrix, gt: DepthMatrix) -> dict[str, float | None]:

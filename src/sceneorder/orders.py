@@ -5,10 +5,18 @@ pairs (1 = row occludes column, mutual 1s legal). Depth matrices are
 ternary: 0 = not in front, 1 = in front, 2 = both share an overlapping
 depth range (always mutual). Diagonals carry -1 because a relation of an
 instance with itself is undefined.
+
+This module also owns the depth pair codes. The relation of an unordered
+pair i < j is one code, the value ``entries[i, j]`` takes in a valid
+matrix: I_FRONT (1), J_FRONT (0) or OVERLAP (2), and NONE for a pair
+without a relation. ``encode_depth`` and ``decode_depth`` convert between
+code arrays and matrices, and the ``depth_from_*`` rules build matrices
+from intervals, scalar scores or scored relations, whole arrays at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +160,81 @@ def validate_depth(m: DepthMatrix) -> list[Violation]:
             if v == 0 and i < j and entries[j, i] == 0:
                 out.append(Violation(i, j, "pair lacks a depth relation"))
     return out
+
+
+# ---- depth pair codes ------------------------------------------------------
+#
+# Code arrays list the pairs i < j in ``pair_indices`` order.
+
+J_FRONT = 0
+I_FRONT = 1
+NONE = 3
+# code -> (entries[i, j], entries[j, i]); a NONE pair stays 0/0
+_PAIR_ENTRIES = np.array([[0, 1], [1, 0], [OVERLAP, OVERLAP], [0, 0]])
+# column of a scored relation -> code, in the tie order of ``depth_from_argmax``
+_ARGMAX_CODES = np.array([I_FRONT, J_FRONT, OVERLAP])
+
+
+@functools.lru_cache(maxsize=64)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every pair i < j, row-major (read-only, cached)."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def encode_depth(n: int, codes) -> DepthMatrix:
+    """The depth matrix whose pairs carry ``codes``, with unit weights."""
+    mat = DepthMatrix.empty(n)
+    i, j = pair_indices(n)
+    mat.entries[i, j], mat.entries[j, i] = _PAIR_ENTRIES[codes].T
+    mat.pair_weights = np.ones((n, n))
+    return mat
+
+
+def decode_depth(mat: DepthMatrix) -> np.ndarray:
+    """The code of every pair, read from any matrix, valid or not.
+
+    Overlap needs 2 on both sides; otherwise a 1 names the front instance,
+    ``entries[i, j]`` first; any other pair is NONE.
+    """
+    i, j = pair_indices(mat.n)
+    a, b = mat.entries[i, j], mat.entries[j, i]
+    front = np.where(a == 1, I_FRONT, np.where(b == 1, J_FRONT, NONE))
+    return np.where((a == OVERLAP) & (b == OVERLAP), OVERLAP, front)
+
+
+def depth_from_intervals(lo, hi) -> DepthMatrix:
+    """Closed depth intervals [lo, hi] per instance, smaller is nearer.
+
+    Disjoint intervals give a front relation; touching or overlapping ones
+    overlap. None bounds (an empty mask) leave the instance's pairs
+    without a relation.
+    """
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    i, j = pair_indices(len(lo))
+    codes = np.where(hi[i] < lo[j], I_FRONT, np.where(hi[j] < lo[i], J_FRONT, OVERLAP))
+    codes[np.isnan(lo[i]) | np.isnan(lo[j])] = NONE
+    return encode_depth(len(lo), codes)
+
+
+def depth_from_scores(scores, tau: float = 0.0) -> DepthMatrix:
+    """One scalar score per instance, larger is nearer.
+
+    Scores within ``tau`` of each other overlap. A None score (an empty
+    mask) leaves the instance's pairs without a relation.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    i, j = pair_indices(len(s))
+    codes = np.where(np.abs(s[i] - s[j]) <= tau, OVERLAP, np.where(s[i] > s[j], I_FRONT, J_FRONT))
+    codes[np.isnan(s[i]) | np.isnan(s[j])] = NONE
+    return encode_depth(len(s), codes)
+
+
+def depth_from_argmax(n: int, scores) -> DepthMatrix:
+    """Each pair takes the first maximum of its three scores, given along
+    the last axis in the order (i front, j front, overlap)."""
+    return encode_depth(n, _ARGMAX_CODES[np.argmax(scores, axis=-1)])
 
 
 # ---- pairs <-> matrix ------------------------------------------------------

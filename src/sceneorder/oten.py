@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -36,12 +37,16 @@ def read_oten(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise FormatError(f"{path}: truncated header")
     version, rank = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    dims = struct.unpack_from(f"<{rank}Q", blob, 12)
     offset = 12 + 8 * rank
-    count = int(np.prod(dims)) if rank else 1
+    if len(blob) < offset:
+        raise FormatError(f"{path}: truncated header")
+    dims = struct.unpack_from(f"<{rank}Q", blob, 12)
+    count = math.prod(dims)
     if len(blob) - offset < 4 * count:
         raise FormatError(f"{path}: truncated payload")
     payload = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
@@ -66,11 +71,17 @@ def save_checkpoint(directory, arrays: dict[str, np.ndarray], config: dict) -> N
 
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        tensors = {name: (entry["file"], entry["shape"]) for name, entry in manifest["tensors"].items()}
+        config = manifest["config"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
     arrays = {}
-    for name, entry in manifest["tensors"].items():
-        arr = read_oten(directory / entry["file"])
-        if list(arr.shape) != entry["shape"]:
-            raise FormatError(f"{name}: manifest shape {entry['shape']} != file shape {list(arr.shape)}")
+    for name, (file, shape) in tensors.items():
+        arr = read_oten(directory / file)
+        if list(arr.shape) != shape:
+            raise FormatError(f"{name}: manifest shape {shape} != file shape {list(arr.shape)}")
         arrays[name] = arr
-    return arrays, manifest["config"]
+    return arrays, config

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import ConfigError
-from .orders import DepthMatrix, InstanceMask, OcclusionMatrix, SceneAnnotation
+from .orders import DataError, DepthMatrix, InstanceMask, OcclusionMatrix, SceneAnnotation, depth_from_intervals
 
 Z_LOW, Z_HIGH = 0.8, 9.2
 Z_BACKGROUND = 12.0
@@ -136,8 +136,9 @@ def _shade(color, z_near: float, thickness: float) -> np.ndarray:
     return lifted * _brightness(z_near)
 
 
-def _owner_map(scene: LayeredScene) -> tuple[np.ndarray, np.ndarray]:
-    """Painter's algorithm: per-pixel topmost shape index and its z."""
+def _owner_map(scene: LayeredScene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Painter's algorithm: per-pixel topmost shape index, its instance and
+    its z; -1 and the background z where no shape is drawn."""
     size = scene.size
     owner = np.full((size, size), -1, dtype=np.int64)
     zbuf = np.full((size, size), Z_BACKGROUND, dtype=np.float64)
@@ -146,11 +147,12 @@ def _owner_map(scene: LayeredScene) -> tuple[np.ndarray, np.ndarray]:
         sup = shape_support(scene.shapes[s], size).astype(bool)
         owner[sup] = s
         zbuf[sup] = scene.shapes[s].z_near
-    return owner, zbuf
+    instance_of = np.array([shape.instance for shape in scene.shapes] + [-1])  # owner -1 reads the last
+    return owner, instance_of[owner], zbuf
 
 
 def render(scene: LayeredScene) -> SceneSample:
-    owner, zbuf = _owner_map(scene)
+    owner, owner_inst, zbuf = _owner_map(scene)
     size = scene.size
     intervals = _instance_intervals(scene)
     image = np.empty((size, size, 3), dtype=np.float64)
@@ -160,13 +162,11 @@ def render(scene: LayeredScene) -> SceneSample:
         if mask.any():
             lo, hi = intervals[shape.instance]
             image[mask] = _shade(shape.color, shape.z_near, hi - lo)
-    masks = np.zeros((scene.n_instances, size, size), dtype=np.uint8)
-    for s, shape in enumerate(scene.shapes):
-        masks[shape.instance][owner == s] = 1
+    masks = (owner_inst == np.arange(scene.n_instances)[:, None, None]).astype(np.uint8)
     return SceneSample(
         image=image,
         masks=masks,
-        gt_occlusion=oracle_occlusion(scene),
+        gt_occlusion=_occlusion_from_owners(scene, owner_inst),
         gt_depth=oracle_depth(scene),
         depth_map=zbuf,
         categories=list(scene.categories),
@@ -176,11 +176,11 @@ def render(scene: LayeredScene) -> SceneSample:
 
 def oracle_occlusion(scene: LayeredScene) -> OcclusionMatrix:
     """i occludes j iff some pixel draws a shape of i on top of j's support."""
-    owner, _ = _owner_map(scene)
+    return _occlusion_from_owners(scene, _owner_map(scene)[1])
+
+
+def _occlusion_from_owners(scene: LayeredScene, owner_inst: np.ndarray) -> OcclusionMatrix:
     supports = instance_supports(scene).astype(bool)
-    owner_inst = np.full_like(owner, -1)
-    for s, shape in enumerate(scene.shapes):
-        owner_inst[owner == s] = shape.instance
     mat = OcclusionMatrix.empty(scene.n_instances)
     for j in range(scene.n_instances):
         over = owner_inst[supports[j]]
@@ -201,19 +201,8 @@ def _instance_intervals(scene: LayeredScene) -> list[tuple[float, float]]:
 
 def oracle_depth(scene: LayeredScene) -> DepthMatrix:
     """Strict z-interval ordering; closed intervals that touch count as overlap."""
-    intervals = _instance_intervals(scene)
-    mat = DepthMatrix.empty(scene.n_instances)
-    mat.pair_weights = np.ones((scene.n_instances, scene.n_instances))
-    for i in range(scene.n_instances):
-        for j in range(i + 1, scene.n_instances):
-            (lo_i, hi_i), (lo_j, hi_j) = intervals[i], intervals[j]
-            if hi_i < lo_j:
-                mat.entries[i, j] = 1
-            elif hi_j < lo_i:
-                mat.entries[j, i] = 1
-            else:
-                mat.entries[i, j] = mat.entries[j, i] = 2
-    return mat
+    lo, hi = zip(*_instance_intervals(scene))
+    return depth_from_intervals(lo, hi)
 
 
 # ---- generation -------------------------------------------------------------
@@ -324,17 +313,10 @@ def generate_scene(seed: int, config: SceneConfig, min_visible: int = 20, min_qu
     config.validate()
     for attempt in range(64):
         scene = _attempt_scene(seed, attempt, config)
-        owner, _ = _owner_map(scene)
-        owner_inst = np.full_like(owner, -1)
-        for s, shape in enumerate(scene.shapes):
-            owner_inst[owner == s] = shape.instance
-        ok = True
-        for i in range(scene.n_instances):
-            visible = owner_inst == i
-            if visible.sum() < min_visible or downsample_mask(visible.astype(np.uint8)).sum() < min_quarter_cells:
-                ok = False
-                break
-        if ok:
+        owner_inst = _owner_map(scene)[1]
+        visible = (owner_inst == i for i in range(scene.n_instances))
+        if all(v.sum() >= min_visible and downsample_mask(v.astype(np.uint8)).sum() >= min_quarter_cells
+               for v in visible):
             return scene
     raise ConfigError(f"could not place {config.n_max} visible instances on a {config.size} canvas")
 
@@ -366,14 +348,26 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
+    h, w, data = _read_pnm(path, b"P6", 255, np.uint8, 3)
+    return data.reshape(h, w, 3).astype(np.float64) / 255.0
+
+
+def _read_pnm(path, magic: bytes, maxval: int, dtype, channels: int):
+    """(height, width, payload) of a binary PPM/PGM laid out as written here."""
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 3)
-    if parts[0] != b"P6":
-        raise ValueError(f"{path}: not a binary PPM")
-    w, h = map(int, parts[1].split())
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
-    return data.reshape(h, w, 3).astype(np.float64) / 255.0
+    try:
+        w, h = map(int, parts[1].split())
+        header_ok = parts[0] == magic and int(parts[2]) == maxval and w > 0 and h > 0
+    except (IndexError, ValueError):
+        header_ok = False
+    if not header_ok:
+        raise DataError(f"{path}: not a binary {magic.decode()} file with maxval {maxval}")
+    count = h * w * channels
+    if len(parts[3]) < count * np.dtype(dtype).itemsize:
+        raise DataError(f"{path}: truncated payload")
+    return h, w, np.frombuffer(parts[3], dtype=dtype, count=count)
 
 
 def write_pgm16(path, values: np.ndarray, scale: float = Z_BACKGROUND) -> None:
@@ -385,16 +379,7 @@ def write_pgm16(path, values: np.ndarray, scale: float = Z_BACKGROUND) -> None:
 
 
 def read_pgm16(path, scale: float = Z_BACKGROUND) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    w, h = map(int, parts[1].split())
-    maxval = int(parts[2])
-    if maxval != 65535:
-        raise ValueError(f"{path}: expected 16-bit PGM")
-    data = np.frombuffer(parts[3], dtype=">u2", count=h * w)
+    h, w, data = _read_pnm(path, b"P5", 65535, ">u2", 1)
     return data.reshape(h, w).astype(np.float64) * scale / 65535.0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .backbone import BackboneOutput, TinyBackbone, backbone_losses, compute_masks, oracle_backbone, quarter_masks
 from .head import HeadConfig, OrderHead
-from .layers import ConfigError
+from .layers import ConfigError, Module, config_from_dict
 from .losses import order_losses
 from .matching import Assignment, match_segments
 from .oten import load_checkpoint, save_checkpoint
@@ -51,14 +51,6 @@ class ModelConfig:
         d["head"]["tasks"] = list(self.head.tasks)
         return d
 
-    @staticmethod
-    def from_dict(obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        head_obj = dict(obj.pop("head", {}))
-        if "tasks" in head_obj:
-            head_obj["tasks"] = tuple(head_obj["tasks"])
-        return ModelConfig(head=HeadConfig(**head_obj), **obj)
-
 
 @dataclass
 class TrainConfig:
@@ -73,13 +65,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 500
     log_every: int = 50
-
-    @staticmethod
-    def from_dict(obj: dict) -> "TrainConfig":
-        obj = dict(obj)
-        if "decay_fractions" in obj:
-            obj["decay_fractions"] = tuple(obj["decay_fractions"])
-        return TrainConfig(**obj)
 
 
 @dataclass
@@ -101,8 +86,12 @@ def _oracle_assignment(masks: np.ndarray, gt_q: np.ndarray) -> Assignment:
     return Assignment(tuple((i, i) for i in range(n)), float(empty))
 
 
-class HolisticModel:
-    """Backbone + order head with a single-forward-per-image predict path."""
+class HolisticModel(Module):
+    """Backbone + order head with a single-forward-per-image predict path.
+
+    Parameters and checkpoint arrays are named ``head.*`` and
+    ``backbone.*`` after the attributes that hold them.
+    """
 
     def __init__(self, rng: np.random.Generator, config: ModelConfig):
         config.validate()
@@ -121,28 +110,7 @@ class HolisticModel:
                 self.backbone.freeze()
                 self.backbone.enable_adapters(rng, config.adapters, config.adapter_dim)
 
-    # -- parameters / checkpoints --
-
-    def params(self):
-        ps = self.head.params()
-        if self.backbone is not None:
-            ps += self.backbone.params()
-        return ps
-
-    def zero_grad(self):
-        for p in self.params():
-            p.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"head.{k}": v for k, v in self.head.state_arrays().items()}
-        if self.backbone is not None:
-            out.update({f"backbone.{k}": v for k, v in self.backbone.state_arrays().items()})
-        return out
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        self.head.load_state_arrays({k[5:]: v for k, v in arrays.items() if k.startswith("head.")})
-        if self.backbone is not None:
-            self.backbone.load_state_arrays({k[9:]: v for k, v in arrays.items() if k.startswith("backbone.")})
+    # -- checkpoints --
 
     def save(self, directory) -> None:
         save_checkpoint(directory, self.state_arrays(), self.config.to_dict())
@@ -150,7 +118,7 @@ class HolisticModel:
     @staticmethod
     def load(directory, rng=None) -> "HolisticModel":
         arrays, config = load_checkpoint(directory)
-        model = HolisticModel(rng or np.random.default_rng(0), ModelConfig.from_dict(config))
+        model = HolisticModel(rng or np.random.default_rng(0), config_from_dict(ModelConfig, config, "model"))
         model.load_state_arrays(arrays)
         return model
 

@@ -39,6 +39,24 @@ def test_saturated_entries():
     np.testing.assert_array_equal(compute_masks(Q, P)[0], [[1, 0]])
 
 
+def test_masks_match_the_clipped_logistic_formula():
+    """compute_masks thresholds autograd.sigmoid_np. The clipped formula it
+    replaced, 1/(1+exp(-clip(x, -500, 500))), gives the same masks except on
+    negative logits within about 6e-16 of zero, such as -1e-16: there the
+    old formula rounded the probability up to exactly 0.5 (mask 1), while
+    sigmoid_np keeps it below 0.5 (mask 0)."""
+    rng = np.random.default_rng(0)
+    special = np.array([1e-16, -1e-16, 500.0, -500.0, 800.0, -800.0, 0.0, -0.0])
+    logits = np.concatenate([special, rng.normal(scale=30.0, size=2000), rng.normal(scale=1e-15, size=2000)])
+    new = compute_masks(logits[:, None], np.ones((1, 1, 1))).reshape(-1)
+    old = (1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))) >= 0.5).astype(np.uint8)
+    np.testing.assert_array_equal(new[:8], [1, 0, 1, 0, 1, 0, 1, 1])
+    np.testing.assert_array_equal(old[:8], [1, 1, 1, 0, 1, 0, 1, 1])
+    differ = new != old
+    assert differ.sum() > 1 and (new[differ] == 0).all()
+    assert ((logits[differ] < 0) & (logits[differ] > -6e-16)).all()
+
+
 def test_compute_masks_shape_mismatch():
     with pytest.raises(ConfigError):
         compute_masks(np.zeros((2, 5)), np.zeros((4, 2, 2)))

@@ -15,7 +15,7 @@ from sceneorder.baselines import (
 from sceneorder.layers import ConfigError
 from sceneorder.losses import bce_with_logits, ce_with_logits
 from sceneorder.optim import AdamW
-from sceneorder.orders import validate_depth, validate_occlusion
+from sceneorder.orders import I_FRONT, J_FRONT, OVERLAP, validate_depth, validate_occlusion
 from sceneorder.synth import SceneConfig, generate_scene, render
 
 
@@ -189,10 +189,9 @@ def test_swap_symmetry_after_training_on_symmetric_data():
             i, j = j, i  # swap augmentation
         occ_logits, depth_logits = net.forward(sample.image, sample.masks[i], sample.masks[j])
         occ_t = np.array([sample.gt_occlusion.entries[i, j], sample.gt_occlusion.entries[j, i]], dtype=float)
-        from sceneorder.metrics import pair_relation
-
-        rel = pair_relation(sample.gt_depth.entries, i, j)
-        depth_t = {1: 0, 0: 1, 2: 2}[rel]  # class 0: first input in front
+        # entries[i, j] of a valid matrix is the code of (i, j) seen from i;
+        # the depth classes are (first input in front, second in front, overlap)
+        depth_t = [I_FRONT, J_FRONT, OVERLAP].index(sample.gt_depth.entries[i, j])
         loss = bce_with_logits(occ_logits, occ_t) + ce_with_logits(depth_logits.reshape(1, 3), np.array([depth_t]))
         net.zero_grad()
         loss.backward()

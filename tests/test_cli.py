@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -170,3 +172,76 @@ def test_more_instances_than_queries_is_validation_error(workspace, tmp_path, ca
     assert code == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("validation error:") and "exceed 1 queries" in err and "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("scene", "nmin"), ("model", "backbonee"), ("model.head", "layers"), ("train", "iters")],
+)
+def test_unknown_config_key_is_validation_error(tmp_path, capsys, section, key):
+    cfg = {key: 1}
+    for name in reversed(section.split(".")):
+        cfg = {name: cfg}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    command = ["gen-data"] if section == "scene" else ["train", "--data", str(tmp_path / "data")]
+    assert main([*command, "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{section}: unknown key {key!r}" in err
+
+
+def _damage(path: Path, target: str, how: str) -> None:
+    blob = path.read_bytes()
+    if how == "truncate":
+        blob = blob[: len(blob) // 2]
+    elif how == "six bytes":
+        blob = blob[:6]
+    elif target in ("annotation", "manifest"):  # drop a required top-level key
+        obj = json.loads(blob)
+        del obj["image" if target == "annotation" else "tensors"]
+        blob = json.dumps(obj).encode()
+    elif target == "oten":  # a rank whose dims run past the end of the file
+        blob = blob[:8] + struct.pack("<I", 200) + blob[12:]
+    else:  # PPM/PGM: halve the width
+        magic, dims, rest = blob.split(b"\n", 2)
+        width, height = dims.split()
+        blob = b"\n".join([magic, b"%d %s" % (int(width) // 2, height), rest])
+    path.write_bytes(blob)
+
+
+@pytest.mark.parametrize(
+    "target, how",
+    [
+        ("annotation", "truncate"),
+        ("annotation", "mutate"),
+        ("ppm", "truncate"),
+        ("ppm", "mutate"),
+        ("pgm16", "truncate"),
+        ("pgm16", "mutate"),
+        ("oten", "truncate"),
+        ("oten", "mutate"),
+        ("oten", "six bytes"),
+        ("manifest", "truncate"),
+        ("manifest", "mutate"),
+    ],
+)
+def test_malformed_data_file_exits_with_one_line(workspace, tmp_path, capsys, target, how):
+    data, ckpt = tmp_path / "val", tmp_path / "checkpoint"
+    shutil.copytree(workspace["data"] / "val", data)
+    shutil.copytree(workspace["run"] / "checkpoint", ckpt)
+    path = {
+        "annotation": data / "scene_00000.json",
+        "ppm": data / "scene_00000.ppm",
+        "pgm16": data / "scene_00000_depth.pgm",
+        "oten": max(ckpt.glob("*.oten"), key=lambda p: p.stat().st_size),
+        "manifest": ckpt / "manifest.json",
+    }[target]
+    _damage(path, target, how)
+    capsys.readouterr()
+    if target == "annotation":
+        code = main(["export-graph", "--annotation", str(path)])
+    else:
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code in (2, 3)
+    assert err.count("\n") == 1 and err.startswith(("data error:", "validation error:")), err

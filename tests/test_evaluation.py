@@ -91,10 +91,9 @@ def test_align_to_gt_unmatched_rows_count_as_errors():
     occ, depth = align_to_gt(pred_occ, pred_depth, ((0, 0), (1, 1)), 3)
     assert occ.entries[0, 1] == 1
     assert occ.entries[0, 2] == 0 and occ.entries[2, 1] == 0
-    from sceneorder.metrics import pair_relation, PAIR_NONE
+    from sceneorder.orders import I_FRONT, NONE, decode_depth
 
-    assert pair_relation(depth.entries, 0, 1) == 1
-    assert pair_relation(depth.entries, 0, 2) == PAIR_NONE
+    assert decode_depth(depth).tolist() == [I_FRONT, NONE, NONE]  # pairs (0,1), (0,2), (1,2)
 
 
 def test_depthmap_heuristic_predictor():

@@ -3,8 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sceneorder.metrics import MetricAccumulator, occlusion_prf, pair_relation, report_json, report_table, whdr
-from sceneorder.orders import DepthMatrix, OcclusionMatrix, StructuralError, pairs_to_matrix
+from sceneorder.metrics import MetricAccumulator, occlusion_prf, report_json, report_table, whdr
+from sceneorder.orders import (
+    I_FRONT,
+    J_FRONT,
+    NONE,
+    OVERLAP,
+    DepthMatrix,
+    OcclusionMatrix,
+    StructuralError,
+    decode_depth,
+    encode_depth,
+    pairs_to_matrix,
+)
 
 
 def occ(n, ones=()):
@@ -135,12 +146,12 @@ def test_whdr_bounds():
                 assert 0.0 <= v <= 1.0
 
 
-def test_pair_relation_codes():
-    m = depth_from([(0, 1, "front", 2), (1, 2, "overlap", 2)], 4)
-    assert pair_relation(m.entries, 0, 1) == 1
-    assert pair_relation(m.entries, 1, 0) == 0
-    assert pair_relation(m.entries, 1, 2) == 2
-    assert pair_relation(m.entries, 0, 3) == 3
+def test_decode_depth_codes():
+    m = depth_from([(0, 1, "front", 2), (3, 1, "front", 2), (1, 2, "overlap", 2)], 4)
+    # pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
+    assert decode_depth(m).tolist() == [I_FRONT, NONE, NONE, OVERLAP, J_FRONT, NONE]
+    assert (I_FRONT, J_FRONT, OVERLAP) == (1, 0, 2)  # the code of pair i < j is entries[i, j]
+    np.testing.assert_array_equal(encode_depth(4, decode_depth(m)).entries, m.entries)
 
 
 def test_missing_prediction_counts_as_disagreement():
